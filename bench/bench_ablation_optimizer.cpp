@@ -49,12 +49,12 @@ int main() {
     for (std::uint64_t s = 0; s < num_seeds; ++s) {
       // All four optimizers run through the unified core::Optimizer
       // facade, which also gives the ES variants λ-parallel evaluation
-      // (RCGP_THREADS env, 0 = hardware concurrency).
+      // (RCGP_THREADS env, default 1; 0 = hardware concurrency).
       core::OptimizerOptions eo;
       eo.evolve.generations = generations;
       eo.evolve.seed = 7000 + s;
       eo.evolve.threads =
-          static_cast<unsigned>(env_u64("RCGP_THREADS", 0));
+          static_cast<unsigned>(env_u64("RCGP_THREADS", 1));
       const auto res_es = core::Optimizer(eo).run(init, b.spec);
       es.r += res_es.best_fitness.n_r;
       es.g += res_es.best_fitness.n_g;

@@ -63,8 +63,8 @@ inline Row run_flow_row(const std::string& name, std::uint64_t generations,
   opt.evolve.seed = seed;
   // λ-parallel offspring evaluation; results are bit-identical for any
   // thread count (docs/PARALLELISM.md), so this only changes wall time.
-  // 0 = hardware concurrency.
-  opt.evolve.threads = static_cast<unsigned>(env_u64("RCGP_THREADS", 0));
+  // Default 1, the fastest at λ = 4; 0 = hardware concurrency.
+  opt.evolve.threads = static_cast<unsigned>(env_u64("RCGP_THREADS", 1));
   const auto r = core::synthesize(b.spec, opt);
   row.init = r.initial_cost;
   row.rcgp = r.optimized_cost;

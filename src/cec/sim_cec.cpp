@@ -1,6 +1,8 @@
 #include "cec/sim_cec.hpp"
 
+#include <bit>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -22,7 +24,8 @@ void finish(SimResult& r) {
 
 } // namespace
 
-SimResult sim_compare(std::span<const tt::TruthTable> out,
+SimResult sim_compare(std::span<const std::uint64_t* const> out,
+                      unsigned num_vars,
                       std::span<const tt::TruthTable> spec) {
   if (out.size() != spec.size()) {
     throw std::invalid_argument("sim_compare: PO count mismatch");
@@ -30,10 +33,19 @@ SimResult sim_compare(std::span<const tt::TruthTable> out,
   // This is the CGP fitness hot path: one relaxed atomic inc per check.
   static obs::Counter& c_checks = obs::registry().counter("cec.sim_checks");
   c_checks.inc();
+  const auto& kernels = rqfp::simd::kernels();
   SimResult r;
   for (std::size_t i = 0; i < spec.size(); ++i) {
+    if (spec[i].num_vars() != num_vars) {
+      throw std::invalid_argument("sim_compare: spec arity mismatch");
+    }
     r.total_bits += spec[i].num_bits();
-    r.mismatching_bits += out[i].hamming_distance(spec[i]);
+    r.mismatching_bits +=
+        spec[i].num_words() == 1
+            ? static_cast<std::uint64_t>(
+                  std::popcount(out[i][0] ^ spec[i].word(0)))
+            : kernels.xor_popcount(out[i], spec[i].data(),
+                                   spec[i].num_words());
   }
   finish(r);
   return r;
@@ -45,18 +57,12 @@ SimResult sim_check(const rqfp::Netlist& net,
     throw std::invalid_argument("sim_check: PO count mismatch");
   }
   const auto out = rqfp::simulate_live(net);
-  return sim_compare(out, spec);
-}
-
-SimResult sim_check_delta(const rqfp::Netlist& base,
-                          const rqfp::Netlist& child,
-                          std::span<const tt::TruthTable> spec,
-                          rqfp::SimCache& cache) {
-  if (spec.size() != child.num_pos()) {
-    throw std::invalid_argument("sim_check_delta: PO count mismatch");
+  std::vector<const std::uint64_t*> rows;
+  rows.reserve(out.size());
+  for (const auto& t : out) {
+    rows.push_back(t.data());
   }
-  rqfp::simulate_delta(base, child, cache, cache.po_scratch);
-  return sim_compare(cache.po_scratch, spec);
+  return sim_compare(rows, net.num_pis(), spec);
 }
 
 SimResult sim_check_random(const rqfp::Netlist& a, const rqfp::Netlist& b,
@@ -67,8 +73,8 @@ SimResult sim_check_random(const rqfp::Netlist& a, const rqfp::Netlist& b,
   static obs::Counter& c_checks =
       obs::registry().counter("cec.sim_random_checks");
   c_checks.inc();
-  // sim_check / sim_check_delta are the per-offspring fitness hot path and
-  // stay span-free; this random-vector CEC entry runs per verification.
+  // sim_check / sim_compare are on the per-offspring fitness path and stay
+  // span-free; this random-vector CEC entry runs per verification.
   obs::Span span("cec.sim");
   span.arg("words", static_cast<std::uint64_t>(num_words));
   rqfp::SimBatch patterns(a.num_pis(), num_words);

@@ -23,26 +23,20 @@ struct SimResult {
 };
 
 /// Scores already-simulated PO tables against a specification — the shared
-/// tail of every simulation equivalence check (sim_check, sim_check_delta,
-/// and the λ-batched evaluator). Increments the cec.sim_checks counter
-/// once, so telemetry stays one check per offspring regardless of which
-/// path simulated it. Requires out.size() == spec.size() (checked).
-SimResult sim_compare(std::span<const tt::TruthTable> out,
+/// tail of sim_check and the λ-batched offspring evaluator. out[i] points
+/// at the table of PO i over `num_vars` variables, laid out as
+/// tt::TruthTable words (unused high bits zero). Increments the
+/// cec.sim_checks counter once, so telemetry stays one check per
+/// offspring. Requires out.size() == spec.size() and every spec table
+/// over `num_vars` variables (checked).
+SimResult sim_compare(std::span<const std::uint64_t* const> out,
+                      unsigned num_vars,
                       std::span<const tt::TruthTable> spec);
 
 /// Exhaustive check of a netlist against per-output truth tables over the
 /// netlist's PIs. Requires spec.size() == net.num_pos().
 SimResult sim_check(const rqfp::Netlist& net,
                     std::span<const tt::TruthTable> spec);
-
-/// Incremental variant of sim_check: bit-identical result for `child`,
-/// but only the dirty cone relative to `base` — whose port values `cache`
-/// holds (rqfp::build_sim_cache) — is re-simulated. The cache is restored
-/// afterwards, so one cache serves all λ offspring of a CGP generation.
-SimResult sim_check_delta(const rqfp::Netlist& base,
-                          const rqfp::Netlist& child,
-                          std::span<const tt::TruthTable> spec,
-                          rqfp::SimCache& cache);
 
 /// Random-pattern check of two netlists with identical PI/PO counts; used
 /// when the PI count makes exhaustive tables impractical.

@@ -48,6 +48,10 @@ obs::Counter& pool_updates() {
       obs::registry().counter("evolve.pool.cache_updates");
   return c;
 }
+obs::Gauge& pool_utilization() {
+  static obs::Gauge& g = obs::registry().gauge("evolve.pool.utilization");
+  return g;
+}
 
 // λ-generation wall seconds: sub-ms through tens of seconds.
 constexpr double kGenerationSecondsBounds[] = {
@@ -220,9 +224,11 @@ void EvalPool::evaluate_block(Scratch& scratch, const EvalJob& job,
                        scratch.batch, scratch.fitness);
   for (unsigned k = k0; k < k1; ++k) {
     out[k].fitness = scratch.fitness[k - k0];
-    scratch.evals->inc();
-    pool_tasks().inc();
   }
+  // One increment per block: every lane's pool shares these counters, so
+  // each atomic here is a cache line bounced between cores.
+  scratch.evals->inc(k1 - k0);
+  pool_tasks().inc(k1 - k0);
 }
 
 bool EvalPool::evaluate_generation(const EvalJob& job,
@@ -268,7 +274,7 @@ bool EvalPool::evaluate_generation(const EvalJob& job,
   for (const auto& s : scratch_) {
     busy_seconds_ += s->busy_seconds;
   }
-  obs::registry().gauge("evolve.pool.utilization").set(utilization());
+  pool_utilization().set(utilization());
   static obs::Histogram& h_generation = obs::registry().histogram(
       "evolve.generation.seconds", kGenerationSecondsBounds);
   h_generation.observe(gen_seconds);

@@ -57,12 +57,12 @@ struct EvalJob {
 /// block through the λ-batched dirty-cone path (core::evaluate_delta_batch):
 /// one gate-major simulation pass over the whole block against the
 /// worker's read-only base SimCache. Per-offspring cost still scales with
-/// the mutated cone, but the base port tables are walked once per gate for
-/// the block instead of once per offspring, and there is no per-sibling
-/// undo/restore. Block partitioning cannot affect results — each offspring
-/// is a pure function of (seed, g, k, parent) and the batched simulation
-/// is bit-identical to the sequential one — so any thread count, block
-/// size, and claim order produce the same generation.
+/// the mutated cone, but the base port rows are walked once per gate for
+/// the block instead of once per offspring. Block partitioning cannot
+/// affect results — each offspring is a pure function of (seed, g, k,
+/// parent) and each child's batched simulation is bit-identical to a full
+/// simulation of it — so any thread count, block size, and claim order
+/// produce the same generation.
 class EvalPool {
 public:
   /// threads must be >= 1; threads - 1 worker threads are spawned once

@@ -243,6 +243,17 @@ EvolveResult evolve_run(const rqfp::Netlist& initial,
     }
   };
 
+  // Everything but the generation number is fixed for the run; `parent`
+  // is reassigned in place, so the pointer stays valid.
+  EvalJob job;
+  job.parent = &parent;
+  job.spec = spec;
+  job.mutation = params.mutation;
+  job.fitness = params.fitness;
+  job.seed = params.seed;
+  job.lambda = params.lambda;
+  job.should_abort = mid_generation_abort;
+
   const std::uint64_t start_gen = resume ? resume->generation : 0;
   for (std::uint64_t gen = start_gen; gen < params.generations; ++gen) {
     if (params.budget.max_generations &&
@@ -258,15 +269,7 @@ EvolveResult evolve_run(const rqfp::Netlist& initial,
       break;
     }
 
-    EvalJob job;
-    job.parent = &parent;
-    job.spec = spec;
-    job.mutation = params.mutation;
-    job.fitness = params.fitness;
-    job.seed = params.seed;
     job.generation = gen;
-    job.lambda = params.lambda;
-    job.should_abort = mid_generation_abort;
     if (!pool.evaluate_generation(job, offspring)) {
       // Aborted mid-generation: the partial generation is discarded (a
       // generation is atomic w.r.t. both the result and resume) and the

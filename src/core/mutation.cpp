@@ -40,8 +40,11 @@ std::uint32_t gate_consumer(std::uint32_t gate, unsigned slot) {
 }
 std::uint32_t po_consumer(std::uint32_t po) { return kPoFlag | po; }
 
-std::vector<std::uint32_t> build_consumer_map(const rqfp::Netlist& net) {
-  std::vector<std::uint32_t> consumer(net.first_free_port(), kNoConsumer);
+/// Fills `consumer` (capacity reused) with the consumer code of every
+/// port, kNoConsumer where nothing reads it.
+void build_consumer_map(const rqfp::Netlist& net,
+                        std::vector<std::uint32_t>& consumer) {
+  consumer.assign(net.first_free_port(), kNoConsumer);
   for (std::uint32_t g = 0; g < net.num_gates(); ++g) {
     for (unsigned i = 0; i < 3; ++i) {
       const rqfp::Port p = net.gate(g).in[i];
@@ -56,7 +59,6 @@ std::vector<std::uint32_t> build_consumer_map(const rqfp::Netlist& net) {
       consumer[p] = po_consumer(o);
     }
   }
-  return consumer;
 }
 
 /// Shared reconnection engine over an externally-maintained consumer map.
@@ -123,7 +125,8 @@ ReconnectOutcome reconnect_input(rqfp::Netlist& net, std::uint32_t g,
   if (target >= net.port_of(g, 0)) {
     throw std::invalid_argument("reconnect_input: forward reference");
   }
-  auto consumer = build_consumer_map(net);
+  std::vector<std::uint32_t> consumer;
+  build_consumer_map(net, consumer);
   return reconnect_with_map(net, consumer, gate_consumer(g, slot),
                             net.gate(g).in[slot], target, /*strict=*/true);
 }
@@ -133,7 +136,8 @@ ReconnectOutcome reconnect_po(rqfp::Netlist& net, std::uint32_t po,
   if (target >= net.first_free_port()) {
     throw std::invalid_argument("reconnect_po: port out of range");
   }
-  auto consumer = build_consumer_map(net);
+  std::vector<std::uint32_t> consumer;
+  build_consumer_map(net, consumer);
   return reconnect_with_map(net, consumer, po_consumer(po), net.po_at(po),
                             target, /*strict=*/true);
 }
@@ -151,7 +155,10 @@ MutationStats mutate(rqfp::Netlist& net, util::Rng& rng,
   if (n_genes == 0) {
     return stats;
   }
-  auto consumer = build_consumer_map(net);
+  // One map per thread, refilled in place: steady-state mutation
+  // allocates nothing.
+  thread_local std::vector<std::uint32_t> consumer;
+  build_consumer_map(net, consumer);
 
   /// Reconnects gene `me` (currently holding `v`) to port `p`, applying
   /// the paper's swap rule; folds the outcome into the stats.

@@ -1,5 +1,6 @@
 #include "fuzz/targets.hpp"
 
+#include <algorithm>
 #include <array>
 #include <fstream>
 #include <functional>
@@ -474,11 +475,33 @@ void run_manifest_corruption(CaseContext& ctx, std::vector<Finding>& out) {
 // optimizer-differential
 // ---------------------------------------------------------------------
 
+/// True when every port row of `cache` equals simulate_ports(net).
+bool sim_cache_matches(const rqfp::SimCache& cache, const rqfp::Netlist& net) {
+  const auto ports = rqfp::simulate_ports(net);
+  for (rqfp::Port p = 0; p < ports.size(); ++p) {
+    if (!std::equal(ports[p].data(), ports[p].data() + ports[p].num_words(),
+                    cache.row(p))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
   util::Rng rng = case_rng(ctx, Target::kOptimizerDiff, 0);
+  // Siblings that share each step's λ-block with the walk's child; a
+  // stream of their own keeps the walk itself independent of λ.
+  util::Rng sibling_rng = case_rng(ctx, Target::kOptimizerDiff, 3);
 
   NetlistShape shape;
-  shape.max_pis = 4;
+  // Every fourth case walks a multi-word netlist (7-8 PIs: 2-4 words per
+  // table); the rest stay sub-word, where the top word is masked.
+  if (ctx.index % 4 == 3) {
+    shape.min_pis = 7;
+    shape.max_pis = 8;
+  } else {
+    shape.max_pis = 4;
+  }
   shape.max_gates = 16;
   rqfp::Netlist base = random_netlist(rng, shape);
   const std::vector<tt::TruthTable> spec = rqfp::simulate(base);
@@ -496,6 +519,15 @@ void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
   rqfp::build_sim_cache(base, sim);
   rqfp::build_cost_cache(base, fopt.schedule, cost);
   core::Fitness base_fit = core::evaluate(base, spec, fopt);
+  constexpr std::size_t kLambda = 4;
+  rqfp::DeltaBatch batch;
+  std::vector<rqfp::Netlist> block(kLambda);
+  std::vector<const rqfp::Netlist*> block_ptrs;
+  for (const auto& n : block) {
+    block_ptrs.push_back(&n);
+  }
+  std::vector<core::Fitness> block_fit(kLambda);
+  std::vector<core::Fitness> one_fit(1);
 
   const auto pair_finding = [&](const std::string& kind,
                                 const std::string& detail,
@@ -516,16 +548,35 @@ void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
     rqfp::Netlist child = base;
     core::mutate(child, rng);
 
+    // The child alone (a batch of one), then at slot 0 of a λ-block.
     const core::Fitness full = core::evaluate(child, spec, fopt);
-    const core::Fitness delta =
-        core::evaluate_delta(base, sim, cost, child, spec, fopt);
-    if (!fitness_equal(full, delta)) {
-      pair_finding("delta-vs-full",
-                   "evaluate_delta != evaluate: full=" +
-                       describe_fitness(full) +
-                       " delta=" + describe_fitness(delta),
-                   base, child);
-      return;
+    block[0] = child;
+    for (std::size_t k = 1; k < kLambda; ++k) {
+      block[k] = base;
+      core::mutate(block[k], sibling_rng);
+    }
+    core::evaluate_delta_batch(base, sim, cost, {&child}, spec, fopt, batch,
+                               one_fit);
+    core::evaluate_delta_batch(base, sim, cost, block_ptrs, spec, fopt,
+                               batch, block_fit);
+    for (std::size_t k = 0; k < kLambda; ++k) {
+      const core::Fitness want =
+          k == 0 ? full : core::evaluate(block[k], spec, fopt);
+      const auto mismatch = [&](const char* what, const core::Fitness& got) {
+        pair_finding("delta-vs-full",
+                     std::string("evaluate_delta_batch (") + what +
+                         ") != evaluate: full=" + describe_fitness(want) +
+                         " delta=" + describe_fitness(got),
+                     base, block[k]);
+      };
+      if (k == 0 && !fitness_equal(want, one_fit[0])) {
+        mismatch("batch of 1", one_fit[0]);
+        return;
+      }
+      if (!fitness_equal(want, block_fit[k])) {
+        mismatch("batch of λ", block_fit[k]);
+        return;
+      }
     }
 
     const rqfp::Cost cost_full = rqfp::cost_of(child, fopt.schedule);
@@ -541,6 +592,12 @@ void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
     if (full.better_or_equal(base_fit)) {
       rqfp::update_sim_cache(base, child, sim);
       rqfp::update_cost_cache(base, child, cost);
+      if (!sim_cache_matches(sim, child)) {
+        pair_finding("commit-vs-full",
+                     "update_sim_cache rows != simulate_ports(child)", base,
+                     child);
+        return;
+      }
       base = std::move(child);
       base_fit = full;
     }
@@ -818,6 +875,96 @@ struct TierGuard {
   ~TierGuard() { rqfp::simd::force_tier(saved); }
 };
 
+/// Part 2 of simd-differential for one base netlist; false after a
+/// finding was recorded.
+bool simd_end_to_end(CaseContext& ctx, const rqfp::Netlist& base,
+                     util::Rng& net_rng, std::vector<Finding>& out) {
+  const auto& tiers = rqfp::simd::available_tiers();
+  std::vector<rqfp::Netlist> children;
+  std::vector<const rqfp::Netlist*> ptrs;
+  for (unsigned i = 0; i < 4; ++i) {
+    children.push_back(base);
+    core::mutate(children.back(), net_rng);
+  }
+  for (const auto& ch : children) {
+    ptrs.push_back(&ch);
+  }
+  rqfp::SimBatch patterns(base.num_pis(), 3);
+  for (std::size_t r = 0; r < patterns.rows(); ++r) {
+    for (std::size_t w = 0; w < patterns.words(); ++w) {
+      patterns.at(r, w) = net_rng.next();
+    }
+  }
+
+  TierGuard guard;
+  rqfp::simd::force_tier(rqfp::simd::Tier::kScalar);
+  const auto spec = rqfp::simulate(base);
+  std::vector<std::vector<tt::TruthTable>> child_spec;
+  for (const auto& ch : children) {
+    child_spec.push_back(rqfp::simulate(ch));
+  }
+  rqfp::SimBatch po_spec;
+  rqfp::simulate_patterns(base, patterns, po_spec);
+
+  const auto po_match = [](const rqfp::DeltaBatch::Child& got,
+                           const std::vector<tt::TruthTable>& want) {
+    for (std::size_t p = 0; p < want.size(); ++p) {
+      if (!std::equal(want[p].data(), want[p].data() + want[p].num_words(),
+                      got.po[p])) {
+        return false;
+      }
+    }
+    return got.po.size() == want.size();
+  };
+
+  for (const auto tier : tiers) {
+    rqfp::simd::force_tier(tier);
+    const auto report = [&](const char* what) {
+      Finding f = make_finding(
+          ctx, Target::kSimdDifferential, "tier-divergence",
+          std::string(what) + " under tier '" +
+              std::string(rqfp::simd::to_string(tier)) +
+              "' differs from the scalar tier");
+      f.reproducer = io::write_rqfp_string(base);
+      f.reproducer_ext = ".rqfp";
+      out.push_back(std::move(f));
+    };
+    if (rqfp::simulate(base) != spec) {
+      report("simulate");
+      return false;
+    }
+    rqfp::SimCache cache;
+    rqfp::build_sim_cache(base, cache);
+    rqfp::DeltaBatch batch;
+    rqfp::simulate_delta_batch(base, ptrs, cache, batch);
+    for (std::size_t i = 0; i < children.size(); ++i) {
+      if (!po_match(batch.children[i], child_spec[i])) {
+        report("simulate_delta_batch (batch of λ) vs scalar simulate");
+        return false;
+      }
+    }
+    for (std::size_t i = 0; i < children.size(); ++i) {
+      rqfp::simulate_delta_batch(base, {ptrs[i]}, cache, batch);
+      if (!po_match(batch.children[0], child_spec[i])) {
+        report("simulate_delta_batch (batch of 1) vs scalar simulate");
+        return false;
+      }
+    }
+    rqfp::update_sim_cache(base, children[0], cache);
+    if (!sim_cache_matches(cache, children[0])) {
+      report("update_sim_cache vs simulate_ports");
+      return false;
+    }
+    rqfp::SimBatch po;
+    rqfp::simulate_patterns(base, patterns, po);
+    if (!(po == po_spec)) {
+      report("simulate_patterns");
+      return false;
+    }
+  }
+  return true;
+}
+
 void run_simd_differential(CaseContext& ctx, std::vector<Finding>& out) {
   util::Rng rng = case_rng(ctx, Target::kSimdDifferential, 0);
   const auto& tiers = rqfp::simd::available_tiers();
@@ -878,78 +1025,21 @@ void run_simd_differential(CaseContext& ctx, std::vector<Finding>& out) {
 
   // 2. End to end: the full simulation stack under every tier must
   // reproduce the scalar tier bit-for-bit — exhaustive tables, the
-  // λ-batched delta path against the sequential one, and pattern sweeps.
-  util::Rng net_rng = case_rng(ctx, Target::kSimdDifferential, 1);
-  NetlistShape shape;
-  shape.max_pis = 5;
-  shape.max_gates = 16;
-  const rqfp::Netlist base = random_netlist(net_rng, shape);
-  std::vector<rqfp::Netlist> children;
-  for (unsigned i = 0; i < 4; ++i) {
-    children.push_back(base);
-    core::mutate(children.back(), net_rng);
-  }
-  rqfp::SimBatch patterns(base.num_pis(), 3);
-  for (std::size_t r = 0; r < patterns.rows(); ++r) {
-    for (std::size_t w = 0; w < patterns.words(); ++w) {
-      patterns.at(r, w) = net_rng.next();
+  // λ-batched delta path (as a batch of λ and of one, plus the commit of
+  // an offspring) and pattern sweeps — on a sub-word netlist (<= 5 PIs)
+  // and a multi-word one (7-8 PIs).
+  for (unsigned purpose : {1u, 2u}) {
+    util::Rng net_rng = case_rng(ctx, Target::kSimdDifferential, purpose);
+    NetlistShape shape;
+    if (purpose == 2) {
+      shape.min_pis = 7;
+      shape.max_pis = 8;
+    } else {
+      shape.max_pis = 5;
     }
-  }
-
-  TierGuard guard;
-  rqfp::simd::force_tier(rqfp::simd::Tier::kScalar);
-  const auto spec = rqfp::simulate(base);
-  std::vector<std::vector<tt::TruthTable>> child_spec;
-  for (const auto& ch : children) {
-    child_spec.push_back(rqfp::simulate(ch));
-  }
-  rqfp::SimBatch po_spec;
-  rqfp::simulate_patterns(base, patterns, po_spec);
-
-  for (const auto tier : tiers) {
-    rqfp::simd::force_tier(tier);
-    const auto report = [&](const char* what) {
-      Finding f = make_finding(
-          ctx, Target::kSimdDifferential, "tier-divergence",
-          std::string(what) + " under tier '" +
-              std::string(rqfp::simd::to_string(tier)) +
-              "' differs from the scalar tier");
-      f.reproducer = io::write_rqfp_string(base);
-      f.reproducer_ext = ".rqfp";
-      out.push_back(std::move(f));
-    };
-    if (rqfp::simulate(base) != spec) {
-      report("simulate");
-      return;
-    }
-    rqfp::SimCache cache;
-    rqfp::build_sim_cache(base, cache);
-    rqfp::DeltaBatch batch;
-    std::vector<const rqfp::Netlist*> ptrs;
-    for (const auto& ch : children) {
-      ptrs.push_back(&ch);
-    }
-    rqfp::simulate_delta_batch(base, ptrs, cache, batch);
-    std::vector<tt::TruthTable> po_seq;
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      rqfp::simulate_delta(base, children[i], cache, po_seq);
-      if (po_seq != batch.children[i].po) {
-        report("simulate_delta_batch vs simulate_delta");
-        return;
-      }
-      std::vector<tt::TruthTable> full;
-      for (std::uint32_t p = 0; p < children[i].num_pos(); ++p) {
-        full.push_back(child_spec[i][p]);
-      }
-      if (po_seq != full) {
-        report("simulate_delta vs scalar simulate");
-        return;
-      }
-    }
-    rqfp::SimBatch po;
-    rqfp::simulate_patterns(base, patterns, po);
-    if (!(po == po_spec)) {
-      report("simulate_patterns");
+    shape.max_gates = 16;
+    if (!simd_end_to_end(ctx, random_netlist(net_rng, shape), net_rng,
+                         out)) {
       return;
     }
   }

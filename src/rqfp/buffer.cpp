@@ -226,6 +226,9 @@ void BufferScheduler::build_consumers(const Netlist& net,
   for (std::uint32_t g = 0; g < n; ++g) {
     consumer_off_[g + 1] += consumer_off_[g];
   }
+  // Every gate input is at most one edge: reserving for all of them keeps
+  // later (denser) live subnetworks of the same shape allocation-free.
+  consumers_.reserve(3 * std::size_t{n});
   consumers_.resize(consumer_off_[n]);
   cursor_.assign(consumer_off_.begin(), consumer_off_.end() - 1);
   for (std::uint32_t g = 0; g < n; ++g) {

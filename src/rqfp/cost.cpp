@@ -9,19 +9,20 @@ namespace rcgp::rqfp {
 
 namespace {
 
-obs::Counter& cost_full_recomputes() {
-  static obs::Counter& c =
+/// The cost metrics, registered together on first use: whichever path
+/// runs first (full build or delta), no later path pays a registry insert,
+/// so a warm evaluator stays allocation-free.
+struct CostMetrics {
+  obs::Counter& full_recomputes =
       obs::registry().counter("evolve.cost.full_recomputes");
-  return c;
-}
-obs::Counter& cost_delta_updates() {
-  static obs::Counter& c =
+  obs::Counter& delta_updates =
       obs::registry().counter("evolve.cost.delta_updates");
-  return c;
-}
-obs::Gauge& cost_scratch_bytes() {
-  static obs::Gauge& g = obs::registry().gauge("evolve.cost.scratch_bytes");
-  return g;
+  obs::Gauge& scratch_bytes =
+      obs::registry().gauge("evolve.cost.scratch_bytes");
+};
+const CostMetrics& cost_metrics() {
+  static const CostMetrics m;
+  return m;
 }
 
 /// In-place liveness marking: the zero-copy replacement for
@@ -140,7 +141,7 @@ Cost delta_impl(const Netlist& base, const Netlist& child,
     // change the liveness mask (liveness flows from POs through live
     // consumers only) nor any live edge, so the cached cost stands — the
     // CGP neutral-drift case.
-    cost_delta_updates().inc();
+    cost_metrics().delta_updates.inc();
     if (commit && first_topo < n) {
       // Keep the cached levels correct for *every* gate: a later mutation
       // may revive a gate from this dead cone, and the next delta's level
@@ -177,7 +178,7 @@ Cost delta_impl(const Netlist& base, const Netlist& child,
   }
   const Cost c = measure_masked(child, cache.child_live, cache.child_level,
                                 n_live, cache.schedule, cache);
-  cost_delta_updates().inc();
+  cost_metrics().delta_updates.inc();
   if (commit) {
     cache.live.swap(cache.child_live);
     cache.level.swap(cache.child_level);
@@ -205,6 +206,11 @@ std::string Cost::to_string() const {
 Cost build_cost_cache(const Netlist& net, BufferSchedule schedule,
                       CostCache& cache) {
   cache.schedule = schedule;
+  // Size the delta scratch for this shape up front (every gate live at
+  // worst), so the first offspring that needs it allocates nothing.
+  cache.child_live.reserve(net.num_gates());
+  cache.child_level.reserve(net.num_gates());
+  cache.stack.reserve(net.num_gates());
   const std::uint32_t n_live = mark_live(net, cache.live, cache.stack);
   net.gate_levels(cache.level);
   const Cost c =
@@ -214,8 +220,9 @@ Cost build_cost_cache(const Netlist& net, BufferSchedule schedule,
   cache.num_pos = net.num_pos();
   cache.base_cost = c;
   cache.valid = true;
-  cost_full_recomputes().inc();
-  cost_scratch_bytes().set(static_cast<double>(cache.scratch_bytes()));
+  cost_metrics().full_recomputes.inc();
+  cost_metrics().scratch_bytes.set(
+      static_cast<double>(cache.scratch_bytes()));
   return c;
 }
 

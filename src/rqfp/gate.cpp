@@ -39,21 +39,6 @@ InvConfig InvConfig::parse(const std::string& text) {
   return InvConfig(bits);
 }
 
-std::array<std::uint64_t, 3> eval_gate_words(InvConfig config,
-                                             std::uint64_t a, std::uint64_t b,
-                                             std::uint64_t c) {
-  std::array<std::uint64_t, 3> out{};
-  const std::uint64_t in[3] = {a, b, c};
-  for (unsigned k = 0; k < 3; ++k) {
-    std::uint64_t v[3];
-    for (unsigned i = 0; i < 3; ++i) {
-      v[i] = config.inverts(k, i) ? ~in[i] : in[i];
-    }
-    out[k] = (v[0] & v[1]) | (v[0] & v[2]) | (v[1] & v[2]);
-  }
-  return out;
-}
-
 void eval_gate_tables_into(InvConfig config, const tt::TruthTable& a,
                            const tt::TruthTable& b, const tt::TruthTable& c,
                            tt::TruthTable& o0, tt::TruthTable& o1,

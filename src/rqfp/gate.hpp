@@ -62,10 +62,23 @@ private:
   std::uint16_t bits_ = 0;
 };
 
-/// Evaluates one RQFP gate bit-parallel on 64-bit words.
-std::array<std::uint64_t, 3> eval_gate_words(InvConfig config,
-                                             std::uint64_t a, std::uint64_t b,
-                                             std::uint64_t c);
+/// Evaluates one RQFP gate bit-parallel on 64-bit words. Inline: the
+/// one-word offspring evaluator calls it once per re-simulated gate.
+inline std::array<std::uint64_t, 3> eval_gate_words(InvConfig config,
+                                                    std::uint64_t a,
+                                                    std::uint64_t b,
+                                                    std::uint64_t c) {
+  std::array<std::uint64_t, 3> out{};
+  for (unsigned k = 0; k < 3; ++k) {
+    // Inverter bit i of row k as an all-zeros/all-ones mask.
+    const unsigned row = config.row(k);
+    const std::uint64_t x = a ^ (0 - std::uint64_t{row & 1});
+    const std::uint64_t y = b ^ (0 - std::uint64_t{(row >> 1) & 1});
+    const std::uint64_t z = c ^ (0 - std::uint64_t{(row >> 2) & 1});
+    out[k] = (x & y) | (x & z) | (y & z);
+  }
+  return out;
+}
 
 /// Evaluates one RQFP gate on truth tables.
 std::array<tt::TruthTable, 3> eval_gate_tables(InvConfig config,

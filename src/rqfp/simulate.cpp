@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "obs/metrics.hpp"
 #include "rqfp/simd.hpp"
@@ -38,7 +37,39 @@ std::size_t table_words(unsigned nv) {
 /// Words the last exhaustive pass pushed through the gate kernels —
 /// 3 output tables per evaluated gate (docs/SIMD.md digest).
 void count_sim_words(std::uint64_t gates_evaluated, std::size_t words) {
-  obs::registry().counter("sim.words").inc(3 * gates_evaluated * words);
+  static obs::Counter& c = obs::registry().counter("sim.words");
+  c.inc(3 * gates_evaluated * words);
+}
+
+/// Valid bits of the (only) word of a table over `nv` < 6 variables;
+/// all ones from 6 variables up.
+std::uint64_t top_word_mask(unsigned nv) {
+  return nv >= 6 ? ~std::uint64_t{0}
+                 : (std::uint64_t{1} << (std::uint64_t{1} << nv)) - 1;
+}
+
+/// One gate over flat rows of `words` words: inline for one word (masked
+/// to the table width, as TruthTable keeps it), the SIMD gate3 kernel
+/// otherwise — multi-word tables have no unused bits. Outputs must not
+/// alias the inputs.
+inline void eval_gate_rows(const simd::Kernels& kernels, InvConfig config,
+                           const std::uint64_t* a, const std::uint64_t* b,
+                           const std::uint64_t* c, std::uint64_t* o0,
+                           std::uint64_t* o1, std::uint64_t* o2,
+                           std::size_t words, std::uint64_t mask) {
+  if (words == 1) {
+    const auto o = eval_gate_words(config, *a, *b, *c);
+    *o0 = o[0] & mask;
+    *o1 = o[1] & mask;
+    *o2 = o[2] & mask;
+  } else {
+    kernels.gate3(config.bits(), a, b, c, o0, o1, o2, words);
+  }
+}
+
+bool rows_equal(const std::uint64_t* a, const std::uint64_t* b,
+                std::size_t words) {
+  return words == 1 ? *a == *b : std::equal(a, a + words, b);
 }
 
 } // namespace
@@ -93,21 +124,30 @@ std::vector<tt::TruthTable> simulate_live(const Netlist& net) {
 }
 
 void build_sim_cache(const Netlist& net, SimCache& cache) {
-  const unsigned nv =
-      init_port_tables(net, cache.ports, "rqfp::build_sim_cache");
+  const unsigned nv = net.num_pis();
+  if (nv > tt::TruthTable::kMaxVars) {
+    throw std::invalid_argument("rqfp::build_sim_cache: too many PIs");
+  }
+  const std::size_t words = table_words(nv);
+  const std::uint64_t mask = top_word_mask(nv);
+  const auto& kernels = simd::kernels();
   cache.num_pis = nv;
   cache.num_gates = net.num_gates();
-  cache.dirty.assign(net.first_free_port(), 0);
-  cache.undo_size = 0;
+  cache.words = words;
+  cache.values.assign(net.first_free_port() * words, 0);
+  std::fill_n(cache.row(kConstPort), words, mask);
+  for (unsigned i = 0; i < nv; ++i) {
+    const auto proj = tt::TruthTable::projection(nv, i);
+    std::copy_n(proj.data(), words, cache.row(1 + i));
+  }
   for (std::uint32_t g = 0; g < net.num_gates(); ++g) {
     const auto& gate = net.gate(g);
-    eval_gate_tables_into(gate.config, cache.ports[gate.in[0]],
-                          cache.ports[gate.in[1]], cache.ports[gate.in[2]],
-                          cache.ports[net.port_of(g, 0)],
-                          cache.ports[net.port_of(g, 1)],
-                          cache.ports[net.port_of(g, 2)]);
+    eval_gate_rows(kernels, gate.config, cache.row(gate.in[0]),
+                   cache.row(gate.in[1]), cache.row(gate.in[2]),
+                   cache.row(net.port_of(g, 0)), cache.row(net.port_of(g, 1)),
+                   cache.row(net.port_of(g, 2)), words, mask);
   }
-  count_sim_words(net.num_gates(), table_words(nv));
+  count_sim_words(net.num_gates(), words);
 }
 
 namespace {
@@ -127,14 +167,17 @@ void check_delta_shape(const Netlist& base, const Netlist& child,
   }
 }
 
-/// Re-evaluates `to`'s gates whose genes differ from `from` or whose
-/// inputs are already dirty, saving every displaced port value on the
-/// cache's undo list. A recomputed value equal to the cached one is not a
-/// change — the cone stops there.
-void propagate_dirty(const Netlist& from, const Netlist& to,
-                     SimCache& cache) {
-  cache.undo_size = 0;
-  auto& out = cache.gate_scratch;
+} // namespace
+
+void update_sim_cache(const Netlist& from, const Netlist& to,
+                      SimCache& cache) {
+  check_delta_shape(from, to, cache, "rqfp::update_sim_cache");
+  const std::size_t words = cache.words;
+  const std::uint64_t mask = top_word_mask(cache.num_pis);
+  const auto& kernels = simd::kernels();
+  cache.dirty.assign(to.first_free_port(), 0);
+  cache.gate_out.resize(3 * words);
+  std::uint64_t* const out = cache.gate_out.data();
   std::uint64_t evaluated = 0;
   for (std::uint32_t g = 0; g < to.num_gates(); ++g) {
     const auto& tg = to.gate(g);
@@ -145,67 +188,32 @@ void propagate_dirty(const Netlist& from, const Netlist& to,
     if (!gene_changed && !input_dirty) {
       continue;
     }
-    eval_gate_tables_into(tg.config, cache.ports[tg.in[0]],
-                          cache.ports[tg.in[1]], cache.ports[tg.in[2]],
-                          out[0], out[1], out[2]);
+    // Into scratch first: the cut-off compares against the old value.
+    eval_gate_rows(kernels, tg.config, cache.row(tg.in[0]),
+                   cache.row(tg.in[1]), cache.row(tg.in[2]), out, out + words,
+                   out + 2 * words, words, mask);
     ++evaluated;
     for (unsigned k = 0; k < 3; ++k) {
       const Port p = to.port_of(g, k);
-      if (out[k] == cache.ports[p]) {
-        continue;
+      const std::uint64_t* v = out + k * words;
+      if (!rows_equal(v, cache.row(p), words)) {
+        std::copy_n(v, words, cache.row(p));
+        cache.dirty[p] = 1;
       }
-      if (cache.undo_size == cache.undo.size()) {
-        cache.undo.emplace_back();
-      }
-      auto& u = cache.undo[cache.undo_size++];
-      u.port = p;
-      // Swaps keep every table's allocation in circulation: the displaced
-      // value parks in the undo slot, the undo slot's stale table becomes
-      // next round's scratch.
-      std::swap(u.value, cache.ports[p]);
-      std::swap(cache.ports[p], out[k]);
-      cache.dirty[p] = 1;
     }
   }
   if (evaluated != 0) {
-    count_sim_words(evaluated, table_words(cache.num_pis));
+    count_sim_words(evaluated, words);
   }
-}
-
-} // namespace
-
-void update_sim_cache(const Netlist& from, const Netlist& to,
-                      SimCache& cache) {
-  check_delta_shape(from, to, cache, "rqfp::update_sim_cache");
-  propagate_dirty(from, to, cache);
-  // Commit: keep the new values, only clear the dirty marks.
-  for (std::size_t i = 0; i < cache.undo_size; ++i) {
-    cache.dirty[cache.undo[i].port] = 0;
-  }
-  cache.undo_size = 0;
-}
-
-void simulate_delta(const Netlist& base, const Netlist& child,
-                    SimCache& cache, std::vector<tt::TruthTable>& po_out) {
-  check_delta_shape(base, child, cache, "rqfp::simulate_delta");
-  propagate_dirty(base, child, cache);
-  po_out.resize(child.num_pos());
-  for (std::uint32_t i = 0; i < child.num_pos(); ++i) {
-    po_out[i] = cache.ports[child.po_at(i)];
-  }
-  // Restore the cache to `base`'s values so it can serve the next sibling.
-  for (std::size_t i = 0; i < cache.undo_size; ++i) {
-    auto& u = cache.undo[i];
-    std::swap(cache.ports[u.port], u.value);
-    cache.dirty[u.port] = 0;
-  }
-  cache.undo_size = 0;
 }
 
 void simulate_delta_batch(const Netlist& base,
                           const std::vector<const Netlist*>& children,
                           const SimCache& cache, DeltaBatch& batch) {
   const Port num_ports = base.first_free_port();
+  const std::size_t words = cache.words;
+  const std::uint64_t mask = top_word_mask(cache.num_pis);
+  const auto& kernels = simd::kernels();
   if (batch.children.size() < children.size()) {
     batch.children.resize(children.size());
   }
@@ -214,18 +222,18 @@ void simulate_delta_batch(const Netlist& base,
                       "rqfp::simulate_delta_batch");
     auto& ch = batch.children[c];
     ch.dirty.assign(num_ports, 0);
-    ch.slot.assign(num_ports, DeltaBatch::kNoSlot);
-    ch.used = 0;
-    ch.touched.clear();
+    // Never cleared: a row is read only after this pass wrote it.
+    if (ch.overlay.size() < num_ports * words) {
+      ch.overlay.resize(num_ports * words);
+    }
   }
-  std::array<tt::TruthTable, 3> scratch;
   std::uint64_t evaluated = 0;
-  // Gate-major: each gate's base-port rows are touched once for the whole
-  // λ-block. Per child, a port reads its private overlay when dirty and
-  // the shared (read-only) base cache otherwise — exactly the values the
-  // sequential simulate_delta would see, in the same topological order.
+  // Gate-major: each gate's base rows are touched once for the whole
+  // λ-block. Per child, a port reads its overlay row when dirty and the
+  // shared (read-only) base row otherwise, in topological order.
   for (std::uint32_t g = 0; g < base.num_gates(); ++g) {
     const auto& bg = base.gate(g);
+    const Port out0 = base.port_of(g, 0);
     for (std::size_t c = 0; c < children.size(); ++c) {
       auto& ch = batch.children[c];
       const auto& tg = children[c]->gate(g);
@@ -236,27 +244,22 @@ void simulate_delta_batch(const Netlist& base,
       if (!gene_changed && !input_dirty) {
         continue;
       }
-      const auto in = [&](Port p) -> const tt::TruthTable& {
-        return ch.dirty[p] != 0 ? ch.values[ch.slot[p]] : cache.ports[p];
+      std::uint64_t* const over = ch.overlay.data();
+      const auto in = [&](Port p) -> const std::uint64_t* {
+        return ch.dirty[p] != 0 ? over + p * words : cache.row(p);
       };
-      eval_gate_tables_into(tg.config, in(tg.in[0]), in(tg.in[1]),
-                            in(tg.in[2]), scratch[0], scratch[1],
-                            scratch[2]);
+      // Straight into the overlay rows of the gate's (fresh) output ports;
+      // they only become visible once marked dirty below.
+      eval_gate_rows(kernels, tg.config, in(tg.in[0]), in(tg.in[1]),
+                     in(tg.in[2]), over + out0 * words,
+                     over + (out0 + 1) * words, over + (out0 + 2) * words,
+                     words, mask);
       ++evaluated;
       for (unsigned k = 0; k < 3; ++k) {
-        const Port p = base.port_of(g, k);
-        // Same cone cut-off as the sequential path: a recomputed value
-        // equal to the base one is not a change.
-        if (scratch[k] == cache.ports[p]) {
-          continue;
+        const Port p = out0 + k;
+        if (!rows_equal(over + p * words, cache.row(p), words)) {
+          ch.dirty[p] = 1;
         }
-        if (ch.used == ch.values.size()) {
-          ch.values.emplace_back();
-        }
-        std::swap(ch.values[ch.used], scratch[k]);
-        ch.slot[p] = static_cast<std::uint32_t>(ch.used++);
-        ch.dirty[p] = 1;
-        ch.touched.push_back(p);
       }
     }
   }
@@ -266,11 +269,12 @@ void simulate_delta_batch(const Netlist& base,
     ch.po.resize(net.num_pos());
     for (std::uint32_t i = 0; i < net.num_pos(); ++i) {
       const Port p = net.po_at(i);
-      ch.po[i] = ch.dirty[p] != 0 ? ch.values[ch.slot[p]] : cache.ports[p];
+      ch.po[i] =
+          ch.dirty[p] != 0 ? ch.overlay.data() + p * words : cache.row(p);
     }
   }
   if (evaluated != 0) {
-    count_sim_words(evaluated, table_words(cache.num_pis));
+    count_sim_words(evaluated, words);
   }
 }
 

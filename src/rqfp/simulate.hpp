@@ -1,6 +1,6 @@
 #pragma once
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -21,66 +21,52 @@ std::vector<tt::TruthTable> simulate(const Netlist& net);
 /// used inside the CGP fitness loop (dead gates do not affect POs).
 std::vector<tt::TruthTable> simulate_live(const Netlist& net);
 
-/// Reusable exhaustive-simulation state for the dirty-cone incremental
-/// fast path. `ports` holds the truth table of every port of a base
-/// netlist (full simulate_ports semantics — dead gates included, so PO
-/// moves onto currently-dead cones still read correct values); the other
-/// members are scratch reused across simulate_delta calls. One SimCache
-/// per worker thread gives allocation-free offspring evaluation: only the
-/// cone downstream of changed genes is ever re-simulated.
+/// Flat exhaustive-simulation state of a base netlist for the dirty-cone
+/// offspring evaluator. `values` holds the truth table of every port as
+/// one contiguous word-major array: port p occupies the `words` words
+/// starting at row(p), laid out exactly like tt::TruthTable words (bit i
+/// = value under input assignment i; the unused high bits of a sub-word
+/// table are zero). Dead gates are simulated too, so PO moves onto
+/// currently-dead cones still read correct values. Rows are dense — a
+/// one-word table is one word — because the Table 1 netlists are all one
+/// word and their whole state then fits a few cache lines.
 struct SimCache {
-  std::vector<tt::TruthTable> ports;
   unsigned num_pis = 0;
   std::uint32_t num_gates = 0;
+  std::size_t words = 0;
+  std::vector<std::uint64_t> values;
 
-  // --- scratch internals (managed by the simulate_* functions) ---
-  struct UndoEntry {
-    Port port = 0;
-    tt::TruthTable value;
-  };
+  const std::uint64_t* row(Port p) const { return values.data() + p * words; }
+  std::uint64_t* row(Port p) { return values.data() + p * words; }
+
+  // --- scratch of update_sim_cache (capacity reused) ---
   std::vector<std::uint8_t> dirty;
-  std::vector<UndoEntry> undo;
-  std::size_t undo_size = 0;
-  std::vector<tt::TruthTable> po_scratch;
-  std::array<tt::TruthTable, 3> gate_scratch;
+  std::vector<std::uint64_t> gate_out;
 };
 
 /// Fully simulates `net` into `cache` (capacity-reusing). Afterwards
-/// cache.ports[p] is the table of port p and the cache can serve
-/// update_sim_cache / simulate_delta calls for same-shaped netlists.
+/// cache.row(p) is the table of port p and the cache can serve
+/// update_sim_cache / simulate_delta_batch calls for same-shaped netlists.
 void build_sim_cache(const Netlist& net, SimCache& cache);
 
 /// Re-simulates the dirty cone of `to` relative to `from` — whose port
-/// values the cache currently holds — and commits: the cache then holds
-/// `to`'s values. `from` and `to` must agree on PI and gate counts
+/// values the cache currently holds — and commits in place: the cache then
+/// holds `to`'s values. `from` and `to` must agree on PI and gate counts
 /// (CGP mutation preserves both); throws std::invalid_argument otherwise.
 void update_sim_cache(const Netlist& from, const Netlist& to,
                       SimCache& cache);
 
-/// Dirty-cone incremental simulation: PO tables of `child` given a cache
-/// holding `base`'s port values. Only gates whose genes changed, or whose
-/// cone inputs did, are re-evaluated; a recomputed value equal to the
-/// cached one stops the cone early. The cache is restored to `base`'s
-/// values before returning, so one cache serves all λ siblings of a
-/// generation. Same shape requirements as update_sim_cache.
-/// Bit-identical to simulate(child) / simulate_live(child) PO tables.
-void simulate_delta(const Netlist& base, const Netlist& child,
-                    SimCache& cache, std::vector<tt::TruthTable>& po_out);
-
-/// Reusable scratch for simulate_delta_batch: one overlay per offspring of
-/// a λ-block. All members are managed by simulate_delta_batch and carry
-/// their allocations across generations; `po` of child c holds its PO
-/// tables after the call.
+/// Reusable scratch for simulate_delta_batch, one entry per offspring of a
+/// λ-block; allocations carry across generations. After a call, `po` of
+/// child c points at its PO tables (cache.words words each), either into
+/// the base cache or into the child's overlay — valid until the next call
+/// or until the cache changes.
 struct DeltaBatch {
-  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
   struct Child {
-    std::vector<tt::TruthTable> po;
+    std::vector<const std::uint64_t*> po;
     // --- scratch internals ---
-    std::vector<std::uint8_t> dirty;    // per-port: overlay holds this port
-    std::vector<std::uint32_t> slot;    // per-port index into values
-    std::vector<tt::TruthTable> values; // overlay pool (used prefix live)
-    std::size_t used = 0;
-    std::vector<Port> touched;
+    std::vector<std::uint8_t> dirty;     // per port: overlay row is live
+    std::vector<std::uint64_t> overlay;  // ports x words, read where dirty
   };
   std::vector<Child> children;
 };
@@ -88,15 +74,15 @@ struct DeltaBatch {
 /// λ-batched dirty-cone simulation: evaluates every child of one
 /// generation in a single gate-major pass against a read-only base cache.
 /// For each gate, each child whose genes changed there — or whose cone is
-/// already dirty — re-evaluates it into a private sparse overlay; all
-/// other reads hit the shared base port tables, which are never written,
-/// so there is no per-sibling undo/restore churn and each gate's base rows
-/// stay cache-hot across the whole block. Per child this visits the same
-/// gates in the same order with the same operand values as
-/// simulate_delta(base, child, ...), so the PO tables (batch.children[c].po)
-/// are bit-identical to the sequential path. The cache must currently hold
-/// `base`'s values (i.e. not be mid-delta); shape requirements are as in
-/// update_sim_cache, checked per child.
+/// already dirty — re-evaluates it into its own overlay rows; a recomputed
+/// value equal to the base one is not a change and stops the cone there.
+/// All other reads hit the shared base rows, which are never written, so
+/// each gate's base rows stay cache-hot across the whole block. One-word
+/// netlists are evaluated inline (eval_gate_words, masked to the table
+/// width); wider ones run the SIMD gate3 kernel straight on the rows. The
+/// PO tables are bit-identical to simulate(child). The cache must hold
+/// `base`'s values; shape requirements are as in update_sim_cache,
+/// checked per child.
 void simulate_delta_batch(const Netlist& base,
                           const std::vector<const Netlist*>& children,
                           const SimCache& cache, DeltaBatch& batch);

@@ -36,9 +36,10 @@
 //   stats/cec --json             machine-readable records on stdout
 //
 // Parallelism (see docs/PARALLELISM.md):
-//   synth --threads=N            λ-parallel offspring evaluation (0 = all
-//                                hardware threads, the default). Results
-//                                are bit-identical for every thread count.
+//   synth --threads=N            λ-parallel offspring evaluation (default
+//                                1; 0 = all hardware threads). Results are
+//                                bit-identical for every thread count, and
+//                                at the default λ one thread is fastest.
 //   synth --optimizer=NAME       evolve | multistart | anneal | window
 //   synth --restarts=N           independent restarts for --optimizer=multistart
 //
@@ -293,7 +294,7 @@ int cmd_synth(const std::vector<std::string>& args) {
     std::fprintf(stderr,
                  "usage: rcgp synth <input> [-g N] [-s seed] [-o out.rqfp] "
                  "[--dot out.dot] [--no-cgp] [--polish] [--pack]\n"
-                 "                 [--threads=N] "
+                 "                 [--threads=N (default 1, 0 = all)] "
                  "[--optimizer=evolve|multistart|anneal|window] "
                  "[--restarts=N]\n"
                  "                 [--islands=N] "
@@ -314,6 +315,9 @@ int cmd_synth(const std::vector<std::string>& args) {
   const std::string input = args[0];
   core::FlowOptions opt;
   opt.evolve.generations = 50000;
+  // One evaluation thread, as batch/serve run each job: a λ=4 generation
+  // is one evaluation block, so more threads only add hand-off latency.
+  opt.evolve.threads = 1;
   std::string out_path;
   std::string dot_path;
   std::string trace_path;

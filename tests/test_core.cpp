@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "core/mutation.hpp"
 #include "core/optimizer.hpp"
 #include "core/shrink.hpp"
+#include "fuzz/generator.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "rqfp/sim_batch.hpp"
@@ -898,53 +900,88 @@ TEST(SimBatch, EqualityComparesLogicalContentOnly) {
   EXPECT_FALSE(a == narrower);
 }
 
-// λ-batched incremental evaluation: one gate-major pass over a block of
-// offspring must reproduce the sequential evaluate_delta fitness — and the
-// batched PO tables must equal a from-scratch simulation of each child.
+// λ-batched incremental evaluation, as a batch of one and of λ: every
+// child's fitness must equal the full evaluate() and its batched PO rows a
+// from-scratch simulation, under every SIMD tier, for a sub-word spec
+// (full_adder, 3 PIs) and a multi-word one (a random 7-PI netlist whose
+// own function is the spec, so neutral offspring reach the cost phase).
 
-TEST(Fitness, EvaluateDeltaBatchMatchesSequentialDelta) {
-  const auto b = benchmarks::get("full_adder");
-  const auto base = init_netlist("full_adder");
-  rqfp::SimCache cache;
-  rqfp::build_sim_cache(base, cache);
-  rqfp::CostCache cost_batch;
-  rqfp::CostCache cost_seq;
-  const FitnessOptions fo;
-
-  constexpr unsigned kLambda = 6;
-  std::vector<rqfp::Netlist> children(kLambda, base);
-  std::vector<const rqfp::Netlist*> ptrs;
-  for (unsigned k = 0; k < kLambda; ++k) {
-    auto rng = util::Rng::stream(99, 1, k);
-    mutate(children[k], rng);
-    ptrs.push_back(&children[k]);
+TEST(Fitness, EvaluateDeltaBatchMatchesFullEvaluation) {
+  struct Case {
+    rqfp::Netlist base;
+    std::vector<tt::TruthTable> spec;
+  };
+  std::vector<Case> cases;
+  cases.push_back({init_netlist("full_adder"),
+                   benchmarks::get("full_adder").spec});
+  {
+    util::Rng rng(77);
+    fuzz::NetlistShape shape;
+    shape.min_pis = shape.max_pis = 7;
+    shape.min_gates = 8;
+    shape.max_gates = 16;
+    auto net = fuzz::random_netlist(rng, shape);
+    auto spec = rqfp::simulate(net);
+    cases.push_back({std::move(net), std::move(spec)});
   }
+  struct TierGuard {
+    rqfp::simd::Tier saved = rqfp::simd::active_tier();
+    ~TierGuard() { rqfp::simd::force_tier(saved); }
+  } guard;
+  constexpr unsigned kLambda = 6;
+  for (const auto& tc : cases) {
+    for (const rqfp::simd::Tier tier : rqfp::simd::available_tiers()) {
+      rqfp::simd::force_tier(tier);
+      rqfp::SimCache cache;
+      rqfp::build_sim_cache(tc.base, cache);
+      rqfp::CostCache cost;
+      const FitnessOptions fo;
 
-  rqfp::DeltaBatch batch;
-  std::vector<Fitness> got(kLambda);
-  evaluate_delta_batch(base, cache, cost_batch, ptrs, b.spec, fo, batch,
-                       got);
+      std::vector<rqfp::Netlist> children(kLambda, tc.base);
+      std::vector<const rqfp::Netlist*> ptrs;
+      for (unsigned k = 0; k < kLambda; ++k) {
+        auto rng = util::Rng::stream(99, 1, k);
+        mutate(children[k], rng);
+        ptrs.push_back(&children[k]);
+      }
 
-  for (unsigned k = 0; k < kLambda; ++k) {
-    const Fitness want =
-        evaluate_delta(base, cache, cost_seq, children[k], b.spec, fo);
-    const std::string what = "child " + std::to_string(k);
-    EXPECT_EQ(got[k].success_rate, want.success_rate) << what;
-    EXPECT_EQ(got[k].n_r, want.n_r) << what;
-    EXPECT_EQ(got[k].n_g, want.n_g) << what;
-    EXPECT_EQ(got[k].n_b, want.n_b) << what;
-    const auto po = rqfp::simulate(children[k]);
-    ASSERT_EQ(batch.children[k].po.size(), po.size()) << what;
-    for (std::size_t i = 0; i < po.size(); ++i) {
-      EXPECT_EQ(batch.children[k].po[i], po[i]) << what << " PO " << i;
+      rqfp::DeltaBatch batch;
+      std::vector<Fitness> got(kLambda);
+      evaluate_delta_batch(tc.base, cache, cost, ptrs, tc.spec, fo, batch,
+                           got);
+      std::vector<Fitness> one(1);
+      rqfp::DeltaBatch single;
+      for (unsigned k = 0; k < kLambda; ++k) {
+        const Fitness want = evaluate(children[k], tc.spec, fo);
+        const std::string what = std::to_string(tc.base.num_pis()) +
+                                 " PIs, " +
+                                 std::string(rqfp::simd::to_string(tier)) +
+                                 ", child " + std::to_string(k);
+        evaluate_delta_batch(tc.base, cache, cost, {ptrs[k]}, tc.spec, fo,
+                             single, one);
+        for (const Fitness& f : {got[k], one[0]}) {
+          EXPECT_EQ(f.success_rate, want.success_rate) << what;
+          EXPECT_EQ(f.n_r, want.n_r) << what;
+          EXPECT_EQ(f.n_g, want.n_g) << what;
+          EXPECT_EQ(f.n_b, want.n_b) << what;
+        }
+        const auto po = rqfp::simulate(children[k]);
+        ASSERT_EQ(batch.children[k].po.size(), po.size()) << what;
+        for (std::size_t i = 0; i < po.size(); ++i) {
+          EXPECT_TRUE(std::equal(po[i].data(),
+                                 po[i].data() + po[i].num_words(),
+                                 batch.children[k].po[i]))
+              << what << " PO " << i;
+        }
+      }
+
+      // An undersized fitness span is rejected up front.
+      std::vector<Fitness> short_span(kLambda - 1);
+      EXPECT_THROW(evaluate_delta_batch(tc.base, cache, cost, ptrs, tc.spec,
+                                        fo, batch, short_span),
+                   std::invalid_argument);
     }
   }
-
-  // An undersized fitness span is rejected up front.
-  std::vector<Fitness> short_span(kLambda - 1);
-  EXPECT_THROW(evaluate_delta_batch(base, cache, cost_batch, ptrs, b.spec,
-                                    fo, batch, short_span),
-               std::invalid_argument);
 }
 
 } // namespace

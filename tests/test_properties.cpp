@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "aig/aig_simulate.hpp"
 #include "bdd/bdd.hpp"
@@ -11,6 +13,7 @@
 #include "cec/bdd_cec.hpp"
 #include "cec/sat_cec.hpp"
 #include "cec/sim_cec.hpp"
+#include "core/fitness.hpp"
 #include "core/flow.hpp"
 #include "core/mutation.hpp"
 #include "core/shrink.hpp"
@@ -19,6 +22,8 @@
 #include "io/blif.hpp"
 #include "io/rqfp_writer.hpp"
 #include "io/verilog.hpp"
+#include "rqfp/cost.hpp"
+#include "rqfp/simd.hpp"
 #include "rqfp/simulate.hpp"
 #include "sat/cnf.hpp"
 #include "tt/isop.hpp"
@@ -224,8 +229,21 @@ TEST_P(FuzzProperties, CecEnginesAgreeOnRandomNetlists) {
 
 TEST_P(FuzzProperties, DeltaEvaluationMatchesFullRecomputation) {
   util::Rng rng(GetParam() * 6364136223846793005ull + 1442695040888963407ull);
+  // Odd seeds walk sub-word netlists (<= 4 PIs, masked top word), even
+  // seeds multi-word ones (7-8 PIs); the seed also picks the SIMD tier.
+  const auto& tiers = rqfp::simd::available_tiers();
+  struct TierGuard {
+    rqfp::simd::Tier saved = rqfp::simd::active_tier();
+    ~TierGuard() { rqfp::simd::force_tier(saved); }
+  } guard;
+  rqfp::simd::force_tier(tiers[GetParam() % tiers.size()]);
   fuzz::NetlistShape shape;
-  shape.max_pis = 4;
+  if (GetParam() % 2 == 0) {
+    shape.min_pis = 7;
+    shape.max_pis = 8;
+  } else {
+    shape.max_pis = 4;
+  }
   shape.max_gates = 12;
   auto base = fuzz::random_netlist(rng, shape);
   const auto spec = rqfp::simulate(base);
@@ -238,20 +256,46 @@ TEST_P(FuzzProperties, DeltaEvaluationMatchesFullRecomputation) {
   rqfp::build_sim_cache(base, sim);
   rqfp::CostCache cost;
   rqfp::build_cost_cache(base, fopt.schedule, cost);
+  rqfp::DeltaBatch batch;
+  constexpr std::size_t kLambda = 4;
+  std::vector<core::Fitness> got(kLambda);
   for (int step = 0; step < 12; ++step) {
-    auto child = base;
-    core::mutate(child, rng, {});
-    const auto full = core::evaluate(child, spec, fopt);
-    const auto delta = core::evaluate_delta(base, sim, cost, child, spec,
-                                            fopt);
-    ASSERT_TRUE(full.success_rate == delta.success_rate &&
-                full.n_r == delta.n_r && full.n_g == delta.n_g &&
-                full.n_b == delta.n_b)
-        << "step " << step << ": delta " << delta.to_string() << " vs full "
-        << full.to_string();
-    if (full.better_or_equal(core::evaluate(base, spec, fopt))) {
+    std::vector<rqfp::Netlist> children(kLambda, base);
+    std::vector<const rqfp::Netlist*> ptrs;
+    for (auto& child : children) {
+      core::mutate(child, rng, {});
+      ptrs.push_back(&child);
+    }
+    core::evaluate_delta_batch(base, sim, cost, ptrs, spec, fopt, batch, got);
+    std::size_t accepted = kLambda;
+    for (std::size_t k = 0; k < kLambda; ++k) {
+      const auto full = core::evaluate(children[k], spec, fopt);
+      std::vector<core::Fitness> one(1);
+      core::evaluate_delta_batch(base, sim, cost, {ptrs[k]}, spec, fopt,
+                                 batch, one);
+      for (const auto& delta : {got[k], one[0]}) {
+        ASSERT_TRUE(full.success_rate == delta.success_rate &&
+                    full.n_r == delta.n_r && full.n_g == delta.n_g &&
+                    full.n_b == delta.n_b)
+            << "step " << step << " child " << k << ": delta "
+            << delta.to_string() << " vs full " << full.to_string();
+      }
+      if (accepted == kLambda &&
+          full.better_or_equal(core::evaluate(base, spec, fopt))) {
+        accepted = k;
+      }
+    }
+    if (accepted != kLambda) {
+      const auto& child = children[accepted];
       rqfp::update_sim_cache(base, child, sim);
       rqfp::update_cost_cache(base, child, cost);
+      const auto ports = rqfp::simulate_ports(child);
+      for (rqfp::Port p = 0; p < ports.size(); ++p) {
+        ASSERT_TRUE(std::equal(ports[p].data(),
+                               ports[p].data() + ports[p].num_words(),
+                               sim.row(p)))
+            << "step " << step << ": committed port " << p;
+      }
       base = child;
     }
   }

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "aig/aig_simulate.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/flow.hpp"
+#include "core/mutation.hpp"
+#include "fuzz/generator.hpp"
 #include "mig/mig_from_aig.hpp"
 #include "rqfp/buffer.hpp"
 #include "rqfp/catalog.hpp"
@@ -256,9 +260,36 @@ TEST(Simulate, BatchValidatesPiCountWithContext) {
   }
 }
 
+/// Restores whatever tier was active when the test started.
+struct TierGuard {
+  simd::Tier saved = simd::active_tier();
+  ~TierGuard() { simd::force_tier(saved); }
+};
+
+/// True when the flat row `row` holds exactly the words of `t`.
+bool row_equals(const std::uint64_t* row, const tt::TruthTable& t) {
+  return std::equal(t.data(), t.data() + t.num_words(), row);
+}
+
+/// True when every port row of `cache` equals simulate_ports(net).
+bool cache_matches(const SimCache& cache, const Netlist& net) {
+  const auto ports = simulate_ports(net);
+  if (cache.words != ports[0].num_words() ||
+      cache.values.size() != ports.size() * cache.words) {
+    return false;
+  }
+  for (Port p = 0; p < ports.size(); ++p) {
+    if (!row_equals(cache.row(p), ports[p])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(Simulate, DeltaMatchesFullSimulation) {
-  // Mutate one gate's config and check the dirty-cone path reproduces the
-  // full re-simulation bit-for-bit, then restores the cache.
+  // Mutate one gate's config and check the dirty-cone batch path, as a
+  // batch of one, reproduces the full re-simulation bit-for-bit without
+  // touching the base cache.
   Netlist base(3);
   const auto g0 = base.add_gate({1, 2, 0}, InvConfig::reversible());
   const auto g1 =
@@ -268,19 +299,95 @@ TEST(Simulate, DeltaMatchesFullSimulation) {
 
   SimCache cache;
   build_sim_cache(base, cache);
-  const auto cached_ports = cache.ports;
+  ASSERT_TRUE(cache_matches(cache, base));
+  const auto cached_values = cache.values;
 
   Netlist child = base;
   child.gate(0).config = InvConfig(0x155);
-  std::vector<tt::TruthTable> po_out;
-  simulate_delta(base, child, cache, po_out);
-  EXPECT_EQ(po_out, simulate(child));
-  // Transient evaluation: the cache still describes `base` afterwards.
-  EXPECT_EQ(cache.ports, cached_ports);
+  DeltaBatch batch;
+  simulate_delta_batch(base, {&child}, cache, batch);
+  const auto want = simulate(child);
+  ASSERT_EQ(batch.children[0].po.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(row_equals(batch.children[0].po[i], want[i])) << "PO " << i;
+  }
+  // The base cache is only read.
+  EXPECT_EQ(cache.values, cached_values);
 
   // Committing the drift re-bases the cache onto the child.
   update_sim_cache(base, child, cache);
-  EXPECT_EQ(cache.ports, simulate_ports(child));
+  EXPECT_TRUE(cache_matches(cache, child));
+}
+
+// Random netlists on both sides of the one-word boundary (3 and 5 PIs are
+// sub-word tables with a masked top word, 7 and 8 PIs span 2 and 4
+// words), under every SIMD tier: batches of one and of λ against full
+// simulation, then the commit of an offspring against simulate_ports.
+TEST(Simulate, DeltaBatchMatchesFullSimulationAcrossWidthsAndTiers) {
+  TierGuard guard;
+  constexpr unsigned kLambda = 5;
+  for (const unsigned pis : {3u, 5u, 7u, 8u}) {
+    for (const simd::Tier tier : simd::available_tiers()) {
+      simd::force_tier(tier);
+      util::Rng rng(1000 + pis);
+      fuzz::NetlistShape shape;
+      shape.min_pis = shape.max_pis = pis;
+      shape.min_gates = 6;
+      shape.max_gates = 20;
+      Netlist base = fuzz::random_netlist(rng, shape);
+      SimCache cache;
+      build_sim_cache(base, cache);
+      ASSERT_TRUE(cache_matches(cache, base));
+      DeltaBatch batch;
+      for (int step = 0; step < 8; ++step) {
+        std::vector<Netlist> children(kLambda, base);
+        std::vector<const Netlist*> ptrs;
+        for (auto& child : children) {
+          core::mutate(child, rng);
+          ptrs.push_back(&child);
+        }
+        const std::string what = std::to_string(pis) + " PIs, " +
+                                 std::string(simd::to_string(tier)) +
+                                 ", step " + std::to_string(step);
+        for (std::size_t k = 0; k < kLambda; ++k) {
+          const auto want = simulate(children[k]);
+          // Batch of one, then the same child inside the λ-block.
+          simulate_delta_batch(base, {ptrs[k]}, cache, batch);
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_TRUE(row_equals(batch.children[0].po[i], want[i]))
+                << what << " child " << k << " PO " << i << " (batch of 1)";
+          }
+        }
+        simulate_delta_batch(base, ptrs, cache, batch);
+        for (std::size_t k = 0; k < kLambda; ++k) {
+          const auto want = simulate(children[k]);
+          ASSERT_EQ(batch.children[k].po.size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_TRUE(row_equals(batch.children[k].po[i], want[i]))
+                << what << " child " << k << " PO " << i << " (batch of λ)";
+          }
+        }
+        update_sim_cache(base, children[step % kLambda], cache);
+        base = children[step % kLambda];
+        ASSERT_TRUE(cache_matches(cache, base)) << what << " commit";
+      }
+    }
+  }
+}
+
+TEST(Simulate, DeltaBatchRejectsShapeMismatch) {
+  Netlist base(2);
+  const auto g = base.add_gate({1, 2, 0}, InvConfig::reversible());
+  base.add_po(base.port_of(g, 0));
+  SimCache cache;
+  build_sim_cache(base, cache);
+  Netlist other(3);
+  const auto h = other.add_gate({1, 2, 3}, InvConfig::reversible());
+  other.add_po(other.port_of(h, 0));
+  DeltaBatch batch;
+  EXPECT_THROW(simulate_delta_batch(base, {&other}, cache, batch),
+               std::invalid_argument);
+  EXPECT_THROW(update_sim_cache(base, other, cache), std::invalid_argument);
 }
 
 class RandomNetlistProperty : public ::testing::TestWithParam<std::uint64_t> {
@@ -708,12 +815,6 @@ TEST(MapFromMig, PassThroughAndInvertedPo) {
 // be bit-identical to the scalar gate semantics, and the table-level entry
 // points must preserve the TruthTable normalization invariant (unused high
 // bits of the top word stay zero) even for inverting configurations.
-
-/// Restores whatever tier was active when the test started.
-struct TierGuard {
-  simd::Tier saved = simd::active_tier();
-  ~TierGuard() { simd::force_tier(saved); }
-};
 
 TEST(Simd, EveryTierMatchesEvalGateWords) {
   util::Rng rng(2026);

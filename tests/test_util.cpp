@@ -40,6 +40,35 @@ TEST(Rng, ReseedRestartsSequence) {
   EXPECT_EQ(a.next(), first);
 }
 
+// Known answers for the offspring stream the CGP loop draws from: every
+// checkpoint, pinned test outcome and benchmark cost depends on these
+// exact values, so a change to next/below/between/stream must not move
+// them.
+TEST(Rng, StreamKnownAnswers) {
+  Rng r = Rng::stream(7, 0, 0);
+  EXPECT_EQ(r.next(), 0x2e1173b7e194b379ULL);
+  EXPECT_EQ(r.next(), 0xd0230ec277dede4aULL);
+  EXPECT_EQ(r.next(), 0x25aed1257b6bfc95ULL);
+  EXPECT_EQ(r.next(), 0x18a4a443d862d46dULL);
+
+  // Consecutive below(n) draws, including a bound just above 2^63 whose
+  // rejection threshold turns away about half of the raw draws.
+  Rng b = Rng::stream(7, 0, 0);
+  EXPECT_EQ(b.below(1), 0u);
+  EXPECT_EQ(b.below(2), 1u);
+  EXPECT_EQ(b.below(3), 0u);
+  EXPECT_EQ(b.below(10), 0u);
+  EXPECT_EQ(b.below(1000), 663u);
+  EXPECT_EQ(b.below(0x8000000000000001ULL), 4854192110853876545ULL);
+  EXPECT_EQ(b.below(27), 22u);
+
+  Rng c = Rng::stream(7, 0, 0);
+  EXPECT_EQ(c.between(5, 9), 5u);
+  EXPECT_EQ(c.between(100, 100), 100u);
+  EXPECT_EQ(c.between(0, std::uint64_t{1} << 40), 161846732155ULL);
+  EXPECT_EQ(c.between(3, 17), 4u);
+}
+
 TEST(Rng, BelowStaysInRange) {
   Rng rng(99);
   for (std::uint64_t bound : {1ull, 2ull, 3ull, 10ull, 1000ull, 1ull << 40}) {
