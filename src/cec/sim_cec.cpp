@@ -1,6 +1,5 @@
 #include "cec/sim_cec.hpp"
 
-#include <bit>
 #include <stdexcept>
 #include <vector>
 
@@ -24,45 +23,29 @@ void finish(SimResult& r) {
 
 } // namespace
 
-SimResult sim_compare(std::span<const std::uint64_t* const> out,
-                      unsigned num_vars,
-                      std::span<const tt::TruthTable> spec) {
-  if (out.size() != spec.size()) {
-    throw std::invalid_argument("sim_compare: PO count mismatch");
-  }
-  // This is the CGP fitness hot path: one relaxed atomic inc per check.
-  static obs::Counter& c_checks = obs::registry().counter("cec.sim_checks");
-  c_checks.inc();
-  const auto& kernels = rqfp::simd::kernels();
-  SimResult r;
-  for (std::size_t i = 0; i < spec.size(); ++i) {
-    if (spec[i].num_vars() != num_vars) {
-      throw std::invalid_argument("sim_compare: spec arity mismatch");
-    }
-    r.total_bits += spec[i].num_bits();
-    r.mismatching_bits +=
-        spec[i].num_words() == 1
-            ? static_cast<std::uint64_t>(
-                  std::popcount(out[i][0] ^ spec[i].word(0)))
-            : kernels.xor_popcount(out[i], spec[i].data(),
-                                   spec[i].num_words());
-  }
-  finish(r);
-  return r;
-}
-
 SimResult sim_check(const rqfp::Netlist& net,
                     std::span<const tt::TruthTable> spec) {
   if (spec.size() != net.num_pos()) {
     throw std::invalid_argument("sim_check: PO count mismatch");
   }
-  const auto out = rqfp::simulate_live(net);
-  std::vector<const std::uint64_t*> rows;
-  rows.reserve(out.size());
-  for (const auto& t : out) {
-    rows.push_back(t.data());
+  for (const auto& table : spec) {
+    if (table.num_vars() != net.num_pis()) {
+      throw std::invalid_argument("sim_check: spec arity mismatch");
+    }
   }
-  return sim_compare(rows, net.num_pis(), spec);
+  // On the annealing fitness path: one relaxed atomic inc per check.
+  static obs::Counter& c_checks = obs::registry().counter("cec.sim_checks");
+  c_checks.inc();
+  const auto out = rqfp::simulate_live(net);
+  const auto& kernels = rqfp::simd::kernels();
+  SimResult r;
+  for (std::size_t i = 0; i < spec.size(); ++i) {
+    r.total_bits += spec[i].num_bits();
+    r.mismatching_bits += kernels.xor_popcount(out[i].data(), spec[i].data(),
+                                               spec[i].num_words());
+  }
+  finish(r);
+  return r;
 }
 
 SimResult sim_check_random(const rqfp::Netlist& a, const rqfp::Netlist& b,
@@ -73,8 +56,8 @@ SimResult sim_check_random(const rqfp::Netlist& a, const rqfp::Netlist& b,
   static obs::Counter& c_checks =
       obs::registry().counter("cec.sim_random_checks");
   c_checks.inc();
-  // sim_check / sim_compare are on the per-offspring fitness path and stay
-  // span-free; this random-vector CEC entry runs per verification.
+  // sim_check is on the annealing fitness path and stays span-free; this
+  // random-vector CEC entry runs per verification.
   obs::Span span("cec.sim");
   span.arg("words", static_cast<std::uint64_t>(num_words));
   rqfp::SimBatch patterns(a.num_pis(), num_words);

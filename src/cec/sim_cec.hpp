@@ -22,19 +22,10 @@ struct SimResult {
   bool all_match = false;
 };
 
-/// Scores already-simulated PO tables against a specification — the shared
-/// tail of sim_check and the λ-batched offspring evaluator. out[i] points
-/// at the table of PO i over `num_vars` variables, laid out as
-/// tt::TruthTable words (unused high bits zero). Increments the
-/// cec.sim_checks counter once, so telemetry stays one check per
-/// offspring. Requires out.size() == spec.size() and every spec table
-/// over `num_vars` variables (checked).
-SimResult sim_compare(std::span<const std::uint64_t* const> out,
-                      unsigned num_vars,
-                      std::span<const tt::TruthTable> spec);
-
 /// Exhaustive check of a netlist against per-output truth tables over the
-/// netlist's PIs. Requires spec.size() == net.num_pos().
+/// netlist's PIs. Requires spec.size() == net.num_pos() and every spec
+/// table over net.num_pis() variables (checked). Increments the
+/// cec.sim_checks counter once.
 SimResult sim_check(const rqfp::Netlist& net,
                     std::span<const tt::TruthTable> spec);
 

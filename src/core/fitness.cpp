@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "cec/sim_cec.hpp"
+#include "obs/metrics.hpp"
 #include "rqfp/cost.hpp"
 
 namespace rcgp::core {
@@ -73,20 +74,20 @@ void evaluate_delta_batch(const rqfp::Netlist& base,
     throw std::invalid_argument("evaluate_delta_batch: fitness span too "
                                 "small");
   }
-  rqfp::simulate_delta_batch(base, children, cache, batch);
+  rqfp::simulate_delta_batch(base, children, cache, batch, spec);
+  // One check per child, as sim_check counts it, in one increment.
+  static obs::Counter& c_checks = obs::registry().counter("cec.sim_checks");
+  c_checks.inc(children.size());
   for (std::size_t c = 0; c < children.size(); ++c) {
-    const rqfp::Netlist& child = *children[c];
-    const auto sim =
-        cec::sim_compare(batch.children[c].po, cache.num_pis, spec);
     Fitness f;
     f.objective = options.objective;
-    f.success_rate = sim.success_rate;
-    if (sim.all_match) {
+    // The screen compared every PO of an unrejected child with the spec.
+    if (!batch.children[c].rejected) {
       f.success_rate = 1.0;
       if (!cost_cache.valid || cost_cache.schedule != options.schedule) {
         rqfp::build_cost_cache(base, options.schedule, cost_cache);
       }
-      const auto cost = rqfp::cost_of_delta(base, child, cost_cache);
+      const auto cost = rqfp::cost_of_delta(base, *children[c], cost_cache);
       f.n_r = cost.n_r;
       f.n_g = cost.n_g;
       f.n_b = cost.n_b;

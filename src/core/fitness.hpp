@@ -64,15 +64,27 @@ Fitness evaluate(const rqfp::Netlist& net,
 /// λ-batched incremental evaluation — the offspring evaluator of the
 /// (1+λ) loop. One gate-major dirty-cone pass (rqfp::simulate_delta_batch)
 /// simulates every child of a block against the shared `cache`, which must
-/// hold `base`'s port values and is only read. Each functionally correct
-/// child is then priced through `cost_cache` (rqfp::cost_of_delta), which
-/// must describe `base` under options.schedule; a cache bound to another
-/// schedule or not yet built is rebuilt for `base` on the spot. Children
-/// must share `base`'s PI and gate counts, as CGP mutation guarantees.
-/// Per child the Fitness is bit-identical to evaluate(*children[c], spec,
-/// options), and cec.sim_checks advances once per child. out_fitness must
-/// provide children.size() slots; `batch` is reusable scratch, so a warm
-/// call allocates nothing.
+/// hold `base`'s port values and is only read, and screens each child
+/// against `spec` inside the pass: a child stops at its first PO that
+/// differs from the spec. Each functionally correct child is then priced
+/// through `cost_cache` (rqfp::cost_of_delta), which must describe `base`
+/// under options.schedule; a cache bound to another schedule or not yet
+/// built is rebuilt for `base` on the spot. Children must share `base`'s
+/// PI and gate counts, as CGP mutation guarantees; a spec of the wrong PO
+/// count (an empty one included) or arity throws std::invalid_argument.
+///
+/// Contract — narrower than evaluate()'s, and all that (1+λ) selection
+/// reads (a correct child always beats a wrong one, and a wrong child
+/// never beats the correct parent):
+///  - functionally_correct() is exact for every child;
+///  - for a correct child, every Fitness field equals evaluate(*children[c],
+///    spec, options), and batch.children[c].po holds its PO rows,
+///    bit-identical to rqfp::simulate;
+///  - a wrong child is `rejected` in `batch`, reports success_rate = 0
+///    (not evaluate()'s exact rate), and its `po` is not filled.
+/// cec.sim_checks advances once per child. out_fitness must provide
+/// children.size() slots; `batch` is reusable scratch, so a warm call
+/// allocates nothing.
 void evaluate_delta_batch(const rqfp::Netlist& base,
                           const rqfp::SimCache& cache,
                           rqfp::CostCache& cost_cache,

@@ -67,11 +67,6 @@ std::string describe_fitness(const core::Fitness& f) {
   return f.to_string();
 }
 
-bool fitness_equal(const core::Fitness& a, const core::Fitness& b) {
-  return a.success_rate == b.success_rate && a.n_r == b.n_r &&
-         a.n_g == b.n_g && a.n_b == b.n_b;
-}
-
 // ---------------------------------------------------------------------
 // io-roundtrip
 // ---------------------------------------------------------------------
@@ -543,6 +538,14 @@ void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
     out.push_back(std::move(f));
   };
 
+  const auto mismatch = [&](const char* what, const std::string& why,
+                            const rqfp::Netlist& child) {
+    pair_finding("delta-vs-full",
+                 std::string("evaluate_delta_batch (") + what +
+                     ") vs evaluate: " + why,
+                 base, child);
+  };
+
   const unsigned steps = 10 + static_cast<unsigned>(rng.below(21));
   for (unsigned step = 0; step < steps; ++step) {
     rqfp::Netlist child = base;
@@ -557,24 +560,21 @@ void check_delta_walk(CaseContext& ctx, std::vector<Finding>& out) {
     }
     core::evaluate_delta_batch(base, sim, cost, {&child}, spec, fopt, batch,
                                one_fit);
+    if (const std::string why = delta_contract_violation(
+            full, one_fit[0], batch.children[0], child);
+        !why.empty()) {
+      mismatch("batch of 1", why, child);
+      return;
+    }
     core::evaluate_delta_batch(base, sim, cost, block_ptrs, spec, fopt,
                                batch, block_fit);
     for (std::size_t k = 0; k < kLambda; ++k) {
       const core::Fitness want =
           k == 0 ? full : core::evaluate(block[k], spec, fopt);
-      const auto mismatch = [&](const char* what, const core::Fitness& got) {
-        pair_finding("delta-vs-full",
-                     std::string("evaluate_delta_batch (") + what +
-                         ") != evaluate: full=" + describe_fitness(want) +
-                         " delta=" + describe_fitness(got),
-                     base, block[k]);
-      };
-      if (k == 0 && !fitness_equal(want, one_fit[0])) {
-        mismatch("batch of 1", one_fit[0]);
-        return;
-      }
-      if (!fitness_equal(want, block_fit[k])) {
-        mismatch("batch of λ", block_fit[k]);
+      if (const std::string why = delta_contract_violation(
+              want, block_fit[k], batch.children[k], block[k]);
+          !why.empty()) {
+        mismatch("batch of λ", why, block[k]);
         return;
       }
     }
@@ -908,13 +908,16 @@ bool simd_end_to_end(CaseContext& ctx, const rqfp::Netlist& base,
 
   const auto po_match = [](const rqfp::DeltaBatch::Child& got,
                            const std::vector<tt::TruthTable>& want) {
+    if (got.po.size() != want.size()) {
+      return false;
+    }
     for (std::size_t p = 0; p < want.size(); ++p) {
       if (!std::equal(want[p].data(), want[p].data() + want[p].num_words(),
                       got.po[p])) {
         return false;
       }
     }
-    return got.po.size() == want.size();
+    return true;
   };
 
   for (const auto tier : tiers) {
@@ -936,18 +939,30 @@ bool simd_end_to_end(CaseContext& ctx, const rqfp::Netlist& base,
     rqfp::SimCache cache;
     rqfp::build_sim_cache(base, cache);
     rqfp::DeltaBatch batch;
-    rqfp::simulate_delta_batch(base, ptrs, cache, batch);
+    // Batch of one, screened against the child's own function: it passes
+    // and keeps every PO row.
     for (std::size_t i = 0; i < children.size(); ++i) {
-      if (!po_match(batch.children[i], child_spec[i])) {
-        report("simulate_delta_batch (batch of λ) vs scalar simulate");
+      rqfp::simulate_delta_batch(base, {ptrs[i]}, cache, batch,
+                                 child_spec[i]);
+      if (batch.children[0].rejected ||
+          !po_match(batch.children[0], child_spec[i])) {
+        report("simulate_delta_batch (batch of 1) vs scalar simulate");
         return false;
       }
     }
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      rqfp::simulate_delta_batch(base, {ptrs[i]}, cache, batch);
-      if (!po_match(batch.children[0], child_spec[i])) {
-        report("simulate_delta_batch (batch of 1) vs scalar simulate");
-        return false;
+    // The λ-block, screened against the parent's function and then each
+    // child's: exactly the children whose scalar tables differ from the
+    // spec are rejected, the others keep their rows.
+    for (std::size_t s = 0; s <= children.size(); ++s) {
+      const auto& want = s == 0 ? spec : child_spec[s - 1];
+      rqfp::simulate_delta_batch(base, ptrs, cache, batch, want);
+      for (std::size_t i = 0; i < children.size(); ++i) {
+        const auto& got = batch.children[i];
+        if (got.rejected != (child_spec[i] != want) ||
+            (!got.rejected && !po_match(got, child_spec[i]))) {
+          report("simulate_delta_batch (batch of λ) vs scalar simulate");
+          return false;
+        }
       }
     }
     rqfp::update_sim_cache(base, children[0], cache);
@@ -1102,6 +1117,41 @@ std::vector<Target> default_targets() {
   return {Target::kIoRoundtrip, Target::kParserCorruption,
           Target::kManifestCorruption, Target::kOptimizerDiff,
           Target::kCecCross, Target::kSimdDifferential};
+}
+
+std::string delta_contract_violation(const core::Fitness& want,
+                                     const core::Fitness& got,
+                                     const rqfp::DeltaBatch::Child& entry,
+                                     const rqfp::Netlist& child) {
+  const std::string both =
+      ": full=" + describe_fitness(want) + " delta=" + describe_fitness(got);
+  if (want.functionally_correct() != got.functionally_correct()) {
+    return "functionally_correct() disagrees" + both;
+  }
+  if (want.functionally_correct() &&
+      !(want.n_r == got.n_r && want.n_g == got.n_g && want.n_b == got.n_b &&
+        want.success_rate == got.success_rate)) {
+    return "fitness of a correct child differs" + both;
+  }
+  if (entry.rejected == got.functionally_correct()) {
+    return "rejected flag disagrees with the fitness" + both;
+  }
+  if (entry.rejected) {
+    return got.success_rate == 0.0 && entry.po.empty()
+               ? ""
+               : "rejected child reports a success rate or PO rows" + both;
+  }
+  const auto po = rqfp::simulate(child);
+  if (entry.po.size() != po.size()) {
+    return "PO row count differs from simulate";
+  }
+  for (std::size_t i = 0; i < po.size(); ++i) {
+    if (!std::equal(po[i].data(), po[i].data() + po[i].num_words(),
+                    entry.po[i])) {
+      return "PO " + std::to_string(i) + " row differs from simulate";
+    }
+  }
+  return "";
 }
 
 void run_case(Target target, CaseContext& ctx, std::vector<Finding>& out) {

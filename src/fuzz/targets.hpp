@@ -5,8 +5,11 @@
 #include <string_view>
 #include <vector>
 
+#include "core/fitness.hpp"
 #include "fuzz/findings.hpp"
 #include "fuzz/shrink.hpp"
+#include "rqfp/netlist.hpp"
+#include "rqfp/simulate.hpp"
 
 namespace rcgp::fuzz {
 
@@ -50,5 +53,17 @@ struct CaseContext {
 /// and minimized reproducer content filled; paths and repro command are
 /// the harness's job). Unexpected exceptions are left to the harness.
 void run_case(Target target, CaseContext& ctx, std::vector<Finding>& out);
+
+/// The offspring evaluator's contract (core::evaluate_delta_batch) for one
+/// child, as optimizer-differential checks it and the tests reuse it: `got`
+/// and the child's batch `entry` against `want` = core::evaluate(child).
+/// Returns "" when it holds — functionally_correct() agrees, a correct
+/// child's fields are all equal, an unrejected child's PO rows equal
+/// rqfp::simulate(child), and a rejected one reports success_rate 0 with
+/// no rows — and what broke otherwise.
+std::string delta_contract_violation(const core::Fitness& want,
+                                     const core::Fitness& got,
+                                     const rqfp::DeltaBatch::Child& entry,
+                                     const rqfp::Netlist& child);
 
 } // namespace rcgp::fuzz

@@ -207,74 +207,155 @@ void update_sim_cache(const Netlist& from, const Netlist& to,
   }
 }
 
+namespace {
+
+/// Fills ch.po_order with `net`'s POs in screening order: by the gate
+/// that drives them, POs on a PI or the constant port first.
+void order_pos_by_driver(const Netlist& net, DeltaBatch::Child& ch) {
+  ch.po_order.resize(net.num_pos());
+  for (std::uint32_t i = 0; i < net.num_pos(); ++i) {
+    const Port p = net.po_at(i);
+    ch.po_order[i] = {net.is_gate_port(p) ? net.gate_of_port(p) + 1 : 0, i};
+  }
+  std::sort(ch.po_order.begin(), ch.po_order.end());
+}
+
+} // namespace
+
 void simulate_delta_batch(const Netlist& base,
                           const std::vector<const Netlist*>& children,
-                          const SimCache& cache, DeltaBatch& batch) {
+                          const SimCache& cache, DeltaBatch& batch,
+                          std::span<const tt::TruthTable> spec) {
+  // Everything is validated before the screen reads a single row.
+  for (const Netlist* child : children) {
+    check_delta_shape(base, *child, cache, "rqfp::simulate_delta_batch");
+    if (spec.size() != child->num_pos()) {
+      throw std::invalid_argument(
+          "rqfp::simulate_delta_batch: spec has " +
+          std::to_string(spec.size()) + " tables for " +
+          std::to_string(child->num_pos()) + " POs");
+    }
+  }
+  for (const auto& table : spec) {
+    if (table.num_vars() != cache.num_pis) {
+      throw std::invalid_argument(
+          "rqfp::simulate_delta_batch: spec table over " +
+          std::to_string(table.num_vars()) + " variables, netlist has " +
+          std::to_string(cache.num_pis) + " PIs");
+    }
+  }
+  if (batch.children.size() < children.size()) {
+    batch.children.resize(children.size());
+  }
   const Port num_ports = base.first_free_port();
   const std::size_t words = cache.words;
   const std::uint64_t mask = top_word_mask(cache.num_pis);
   const auto& kernels = simd::kernels();
-  if (batch.children.size() < children.size()) {
-    batch.children.resize(children.size());
-  }
+  const auto in_pass = [](const DeltaBatch::Child& ch) {
+    return !ch.rejected && ch.screened < ch.po_order.size();
+  };
+  // Screens the child's POs that are final once `ready` gates have run;
+  // false at the first one that differs from the spec.
+  const auto screen_ready = [&](DeltaBatch::Child& ch, const Netlist& net,
+                                std::uint32_t ready) {
+    for (; ch.screened < ch.po_order.size() &&
+           ch.po_order[ch.screened].first == ready;
+         ++ch.screened) {
+      const std::uint32_t i = ch.po_order[ch.screened].second;
+      const Port p = net.po_at(i);
+      const std::uint64_t* v =
+          ch.dirty[p] != 0 ? ch.overlay.data() + p * words : cache.row(p);
+      if (!rows_equal(v, spec[i].data(), words)) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  std::size_t live = 0;
   for (std::size_t c = 0; c < children.size(); ++c) {
-    check_delta_shape(base, *children[c], cache,
-                      "rqfp::simulate_delta_batch");
     auto& ch = batch.children[c];
+    // Sized whatever the screen decides, so that a warm call allocates
+    // nothing. Rows are never cleared: a row is read only after the pass
+    // wrote it.
+    ch.po.reserve(children[c]->num_pos());
     ch.dirty.assign(num_ports, 0);
-    // Never cleared: a row is read only after this pass wrote it.
     if (ch.overlay.size() < num_ports * words) {
       ch.overlay.resize(num_ports * words);
     }
+    order_pos_by_driver(*children[c], ch);
+    ch.screened = 0;
+    ch.rejected = !screen_ready(ch, *children[c], 0);
+    live += in_pass(ch) ? 1 : 0;
   }
+
   std::uint64_t evaluated = 0;
   // Gate-major: each gate's base rows are touched once for the whole
   // λ-block. Per child, a port reads its overlay row when dirty and the
-  // shared (read-only) base row otherwise, in topological order.
-  for (std::uint32_t g = 0; g < base.num_gates(); ++g) {
+  // shared (read-only) base row otherwise, in topological order. A child
+  // leaves the pass when rejected or once all its POs are screened (later
+  // gates feed none of them).
+  for (std::uint32_t g = 0; g < base.num_gates() && live != 0; ++g) {
     const auto& bg = base.gate(g);
     const Port out0 = base.port_of(g, 0);
     for (std::size_t c = 0; c < children.size(); ++c) {
       auto& ch = batch.children[c];
+      if (!in_pass(ch)) {
+        continue;
+      }
       const auto& tg = children[c]->gate(g);
       const bool gene_changed = !(tg == bg);
       const bool input_dirty = ch.dirty[tg.in[0]] != 0 ||
                                ch.dirty[tg.in[1]] != 0 ||
                                ch.dirty[tg.in[2]] != 0;
-      if (!gene_changed && !input_dirty) {
-        continue;
-      }
-      std::uint64_t* const over = ch.overlay.data();
-      const auto in = [&](Port p) -> const std::uint64_t* {
-        return ch.dirty[p] != 0 ? over + p * words : cache.row(p);
-      };
-      // Straight into the overlay rows of the gate's (fresh) output ports;
-      // they only become visible once marked dirty below.
-      eval_gate_rows(kernels, tg.config, in(tg.in[0]), in(tg.in[1]),
-                     in(tg.in[2]), over + out0 * words,
-                     over + (out0 + 1) * words, over + (out0 + 2) * words,
-                     words, mask);
-      ++evaluated;
-      for (unsigned k = 0; k < 3; ++k) {
-        const Port p = out0 + k;
-        if (!rows_equal(over + p * words, cache.row(p), words)) {
-          ch.dirty[p] = 1;
+      if (gene_changed || input_dirty) {
+        std::uint64_t* const over = ch.overlay.data();
+        const auto in = [&](Port p) -> const std::uint64_t* {
+          return ch.dirty[p] != 0 ? over + p * words : cache.row(p);
+        };
+        // Straight into the overlay rows of the gate's (fresh) output
+        // ports; they only become visible once marked dirty below.
+        eval_gate_rows(kernels, tg.config, in(tg.in[0]), in(tg.in[1]),
+                       in(tg.in[2]), over + out0 * words,
+                       over + (out0 + 1) * words, over + (out0 + 2) * words,
+                       words, mask);
+        ++evaluated;
+        for (unsigned k = 0; k < 3; ++k) {
+          const Port p = out0 + k;
+          if (!rows_equal(over + p * words, cache.row(p), words)) {
+            ch.dirty[p] = 1;
+          }
         }
       }
-    }
-  }
-  for (std::size_t c = 0; c < children.size(); ++c) {
-    auto& ch = batch.children[c];
-    const Netlist& net = *children[c];
-    ch.po.resize(net.num_pos());
-    for (std::uint32_t i = 0; i < net.num_pos(); ++i) {
-      const Port p = net.po_at(i);
-      ch.po[i] =
-          ch.dirty[p] != 0 ? ch.overlay.data() + p * words : cache.row(p);
+      ch.rejected = !screen_ready(ch, *children[c], g + 1);
+      live -= in_pass(ch) ? 0 : 1;
     }
   }
   if (evaluated != 0) {
     count_sim_words(evaluated, words);
+  }
+
+  std::uint64_t rejects = 0;
+  for (std::size_t c = 0; c < children.size(); ++c) {
+    auto& ch = batch.children[c];
+    if (ch.rejected) {
+      ch.po.clear();
+      ++rejects;
+      continue;
+    }
+    const Netlist& net = *children[c];
+    ch.po.resize(net.num_pos());
+    for (std::uint32_t i = 0; i < net.num_pos(); ++i) {
+      const Port p = net.po_at(i);
+      ch.po[i] = ch.dirty[p] != 0 ? ch.overlay.data() + p * words
+                                  : cache.row(p);
+    }
+  }
+  if (rejects != 0) {
+    // Once per block, like the other per-offspring counters.
+    static obs::Counter& c_rejects =
+        obs::registry().counter("sim.screen_rejects");
+    c_rejects.inc(rejects);
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "rqfp/netlist.hpp"
@@ -57,35 +59,54 @@ void update_sim_cache(const Netlist& from, const Netlist& to,
                       SimCache& cache);
 
 /// Reusable scratch for simulate_delta_batch, one entry per offspring of a
-/// λ-block; allocations carry across generations. After a call, `po` of
-/// child c points at its PO tables (cache.words words each), either into
-/// the base cache or into the child's overlay — valid until the next call
-/// or until the cache changes.
+/// λ-block; allocations carry across generations. After a call, a child
+/// the spec screen did not reject has `po` pointing at its PO tables
+/// (cache.words words each), either into the base cache or into the
+/// child's overlay — valid until the next call or until the cache
+/// changes. A rejected child has `rejected` set and an empty `po`.
 struct DeltaBatch {
   struct Child {
     std::vector<const std::uint64_t*> po;
+    /// Some PO row differs from the spec: the child is wrong, and its
+    /// pass stopped at the first such PO.
+    bool rejected = false;
     // --- scratch internals ---
     std::vector<std::uint8_t> dirty;     // per port: overlay row is live
     std::vector<std::uint64_t> overlay;  // ports x words, read where dirty
+    /// (ready, PO index) pairs in screening order, where ready is 0 for a
+    /// PO on a PI or the constant port and g + 1 for one driven by gate g.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> po_order;
+    std::size_t screened = 0;  // po_order entries screened so far
   };
   std::vector<Child> children;
 };
 
-/// λ-batched dirty-cone simulation: evaluates every child of one
-/// generation in a single gate-major pass against a read-only base cache.
-/// For each gate, each child whose genes changed there — or whose cone is
-/// already dirty — re-evaluates it into its own overlay rows; a recomputed
-/// value equal to the base one is not a change and stops the cone there.
-/// All other reads hit the shared base rows, which are never written, so
-/// each gate's base rows stay cache-hot across the whole block. One-word
-/// netlists are evaluated inline (eval_gate_words, masked to the table
-/// width); wider ones run the SIMD gate3 kernel straight on the rows. The
-/// PO tables are bit-identical to simulate(child). The cache must hold
-/// `base`'s values; shape requirements are as in update_sim_cache,
-/// checked per child.
+/// λ-batched dirty-cone simulation, screened against the specification:
+/// evaluates every child of one generation in a single gate-major pass
+/// against a read-only base cache. For each gate, each child whose genes
+/// changed there — or whose cone is already dirty — re-evaluates it into
+/// its own overlay rows; a recomputed value equal to the base one is not
+/// a change and stops the cone there. All other reads hit the shared base
+/// rows, which are never written, so each gate's base rows stay cache-hot
+/// across the whole block. One-word netlists are evaluated inline
+/// (eval_gate_words, masked to the table width); wider ones run the SIMD
+/// gate3 kernel straight on the rows.
+///
+/// Screening: `spec` holds one table per PO over cache.num_pis variables.
+/// Each PO row is compared with its spec table as soon as the gate driving
+/// it is final (POs on a PI or the constant port before the pass); the
+/// first mismatch rejects the child, which is skipped from then on. A
+/// child whose POs all passed leaves the pass too (later gates feed none
+/// of them), and the pass stops once no child is left. A child left
+/// unrejected therefore matches `spec` on every PO, and its PO tables are
+/// bit-identical to simulate(child). A spec of the wrong PO count or
+/// arity throws std::invalid_argument before any row is read. The cache
+/// must hold `base`'s values; shape requirements are as in
+/// update_sim_cache, checked per child.
 void simulate_delta_batch(const Netlist& base,
                           const std::vector<const Netlist*>& children,
-                          const SimCache& cache, DeltaBatch& batch);
+                          const SimCache& cache, DeltaBatch& batch,
+                          std::span<const tt::TruthTable> spec);
 
 /// Word-parallel pattern simulation for wide circuits. `pi` must have one
 /// row per PI (pi.rows() == net.num_pis(), validated up front); the word

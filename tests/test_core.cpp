@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -20,6 +22,8 @@
 #include "core/optimizer.hpp"
 #include "core/shrink.hpp"
 #include "fuzz/generator.hpp"
+#include "fuzz/targets.hpp"
+#include "obs/metrics.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "rqfp/sim_batch.hpp"
@@ -235,6 +239,55 @@ TEST(Mutation, GateCountIsStable) {
   for (int i = 0; i < 30; ++i) {
     mutate(net, rng, {});
     EXPECT_EQ(net.num_gates(), gates);
+  }
+}
+
+/// 64-bit FNV-1a of a genotype string: compact known-answer pins.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char ch : s) {
+    h = (h ^ static_cast<unsigned char>(ch)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Mutation, KnownAnswer) {
+  // Pins mutate()'s exact draw sequence and gene decoding: the genotype
+  // (paper Fig. 3 notation, hashed) after one μ = 1 mutation under
+  // Rng::stream(7, g, k), on c17 and on a random 7-PI netlist. Any
+  // speed-up of mutate must leave these unchanged.
+  struct Pin {
+    std::uint64_t g;
+    std::uint64_t k;
+    std::uint64_t c17;
+    std::uint64_t pi7;
+  };
+  const Pin pins[] = {
+      {0, 0, 0x8ff13233be3b33bcULL, 0xaf4c06c56ff84aa9ULL},
+      {0, 3, 0x03bd61d4f4d9af9eULL, 0x8c994a4aae75f5ebULL},
+      {5, 1, 0x5ea62ae801ea2724ULL, 0xa338fb3a2c97ea3cULL},
+      {1000, 2, 0x634225738a5ce27cULL, 0xb2e98bab056d4de8ULL},
+  };
+  const auto c17 = init_netlist("c17");
+  util::Rng net_rng(2024);
+  fuzz::NetlistShape shape;
+  shape.min_pis = shape.max_pis = 7;
+  shape.min_gates = 12;
+  shape.max_gates = 12;
+  const auto pi7 = fuzz::random_netlist(net_rng, shape);
+  for (const Pin& pin : pins) {
+    for (const auto* base : {&c17, &pi7}) {
+      auto net = *base;
+      util::Rng rng = util::Rng::stream(7, pin.g, pin.k);
+      mutate(net, rng);
+      ASSERT_EQ(net.validate(), "");
+      const std::uint64_t want = base == &c17 ? pin.c17 : pin.pi7;
+      EXPECT_EQ(fnv1a(to_genotype_string(net)), want)
+          << "g=" << pin.g << " k=" << pin.k << " "
+          << (base == &c17 ? "c17" : "7-PI") << ": " << std::hex << "0x"
+          << fnv1a(to_genotype_string(net)) << std::dec << " "
+          << to_genotype_string(net);
+    }
   }
 }
 
@@ -900,87 +953,297 @@ TEST(SimBatch, EqualityComparesLogicalContentOnly) {
   EXPECT_FALSE(a == narrower);
 }
 
-// λ-batched incremental evaluation, as a batch of one and of λ: every
-// child's fitness must equal the full evaluate() and its batched PO rows a
-// from-scratch simulation, under every SIMD tier, for a sub-word spec
-// (full_adder, 3 PIs) and a multi-word one (a random 7-PI netlist whose
-// own function is the spec, so neutral offspring reach the cost phase).
+// ---------- λ-batched offspring evaluation (evaluate_delta_batch) ----------
 
-TEST(Fitness, EvaluateDeltaBatchMatchesFullEvaluation) {
-  struct Case {
-    rqfp::Netlist base;
-    std::vector<tt::TruthTable> spec;
-  };
-  std::vector<Case> cases;
-  cases.push_back({init_netlist("full_adder"),
-                   benchmarks::get("full_adder").spec});
-  {
-    util::Rng rng(77);
-    fuzz::NetlistShape shape;
-    shape.min_pis = shape.max_pis = 7;
-    shape.min_gates = 8;
-    shape.max_gates = 16;
-    auto net = fuzz::random_netlist(rng, shape);
-    auto spec = rqfp::simulate(net);
-    cases.push_back({std::move(net), std::move(spec)});
+struct TierGuard {
+  rqfp::simd::Tier saved = rqfp::simd::active_tier();
+  ~TierGuard() { rqfp::simd::force_tier(saved); }
+};
+
+/// Random netlist over exactly `pis` PIs.
+rqfp::Netlist random_netlist_with(unsigned pis, std::uint64_t seed) {
+  util::Rng rng(seed);
+  fuzz::NetlistShape shape;
+  shape.min_pis = shape.max_pis = pis;
+  shape.min_pos = 2;
+  shape.min_gates = 8;
+  shape.max_gates = 16;
+  return fuzz::random_netlist(rng, shape);
+}
+
+/// Scores `children` of `base` against `spec` through evaluate_delta_batch
+/// under every SIMD tier, as one λ-block and child by child, and checks
+/// the offspring evaluator's contract (fuzz::delta_contract_violation)
+/// against evaluate() for each. Returns, per child, whether evaluate()
+/// finds it correct.
+std::vector<bool> check_delta_contract(
+    const rqfp::Netlist& base, const std::vector<rqfp::Netlist>& children,
+    std::span<const tt::TruthTable> spec, const std::string& what) {
+  const FitnessOptions fo;
+  std::vector<const rqfp::Netlist*> ptrs;
+  std::vector<Fitness> want;
+  std::vector<bool> correct;
+  for (const auto& child : children) {
+    ptrs.push_back(&child);
+    want.push_back(evaluate(child, spec, fo));
+    correct.push_back(want.back().functionally_correct());
   }
-  struct TierGuard {
-    rqfp::simd::Tier saved = rqfp::simd::active_tier();
-    ~TierGuard() { rqfp::simd::force_tier(saved); }
-  } guard;
-  constexpr unsigned kLambda = 6;
-  for (const auto& tc : cases) {
-    for (const rqfp::simd::Tier tier : rqfp::simd::available_tiers()) {
-      rqfp::simd::force_tier(tier);
-      rqfp::SimCache cache;
-      rqfp::build_sim_cache(tc.base, cache);
-      rqfp::CostCache cost;
-      const FitnessOptions fo;
-
-      std::vector<rqfp::Netlist> children(kLambda, tc.base);
-      std::vector<const rqfp::Netlist*> ptrs;
-      for (unsigned k = 0; k < kLambda; ++k) {
-        auto rng = util::Rng::stream(99, 1, k);
-        mutate(children[k], rng);
-        ptrs.push_back(&children[k]);
-      }
-
-      rqfp::DeltaBatch batch;
-      std::vector<Fitness> got(kLambda);
-      evaluate_delta_batch(tc.base, cache, cost, ptrs, tc.spec, fo, batch,
-                           got);
-      std::vector<Fitness> one(1);
-      rqfp::DeltaBatch single;
-      for (unsigned k = 0; k < kLambda; ++k) {
-        const Fitness want = evaluate(children[k], tc.spec, fo);
-        const std::string what = std::to_string(tc.base.num_pis()) +
-                                 " PIs, " +
-                                 std::string(rqfp::simd::to_string(tier)) +
-                                 ", child " + std::to_string(k);
-        evaluate_delta_batch(tc.base, cache, cost, {ptrs[k]}, tc.spec, fo,
-                             single, one);
-        for (const Fitness& f : {got[k], one[0]}) {
-          EXPECT_EQ(f.success_rate, want.success_rate) << what;
-          EXPECT_EQ(f.n_r, want.n_r) << what;
-          EXPECT_EQ(f.n_g, want.n_g) << what;
-          EXPECT_EQ(f.n_b, want.n_b) << what;
-        }
-        const auto po = rqfp::simulate(children[k]);
-        ASSERT_EQ(batch.children[k].po.size(), po.size()) << what;
-        for (std::size_t i = 0; i < po.size(); ++i) {
-          EXPECT_TRUE(std::equal(po[i].data(),
-                                 po[i].data() + po[i].num_words(),
-                                 batch.children[k].po[i]))
-              << what << " PO " << i;
-        }
-      }
-
-      // An undersized fitness span is rejected up front.
-      std::vector<Fitness> short_span(kLambda - 1);
-      EXPECT_THROW(evaluate_delta_batch(tc.base, cache, cost, ptrs, tc.spec,
-                                        fo, batch, short_span),
-                   std::invalid_argument);
+  TierGuard guard;
+  for (const rqfp::simd::Tier tier : rqfp::simd::available_tiers()) {
+    rqfp::simd::force_tier(tier);
+    rqfp::SimCache cache;
+    rqfp::build_sim_cache(base, cache);
+    rqfp::CostCache cost;
+    rqfp::DeltaBatch batch;
+    std::vector<Fitness> got(children.size());
+    evaluate_delta_batch(base, cache, cost, ptrs, spec, fo, batch, got);
+    const std::string at =
+        what + ", " + std::string(rqfp::simd::to_string(tier)) + ", child ";
+    for (std::size_t k = 0; k < children.size(); ++k) {
+      EXPECT_EQ(fuzz::delta_contract_violation(want[k], got[k],
+                                               batch.children[k],
+                                               children[k]),
+                "")
+          << at << k << " (batch of λ)";
     }
+    rqfp::DeltaBatch single;
+    std::vector<Fitness> one(1);
+    for (std::size_t k = 0; k < children.size(); ++k) {
+      evaluate_delta_batch(base, cache, cost, {ptrs[k]}, spec, fo, single,
+                           one);
+      EXPECT_EQ(fuzz::delta_contract_violation(want[k], one[0],
+                                               single.children[0],
+                                               children[k]),
+                "")
+          << at << k << " (batch of 1)";
+    }
+  }
+  return correct;
+}
+
+/// `count` children of `base`, mutated at rate `mu` under
+/// Rng::stream(seed, 1, k).
+std::vector<rqfp::Netlist> mutants(const rqfp::Netlist& base, unsigned count,
+                                   std::uint64_t seed, double mu = 1.0) {
+  std::vector<rqfp::Netlist> out(count, base);
+  MutationParams mp;
+  mp.mu = mu;
+  for (unsigned k = 0; k < count; ++k) {
+    auto rng = util::Rng::stream(seed, 1, k);
+    mutate(out[k], rng, mp);
+  }
+  return out;
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::registry().counter(name).value();
+}
+
+// Mutants of a sub-word spec (full_adder, 3 PIs) and of a multi-word one
+// (a random 7-PI netlist whose own function is the spec, so neutral
+// offspring reach the cost phase).
+TEST(Fitness, EvaluateDeltaBatchMatchesFullEvaluation) {
+  const auto adder = init_netlist("full_adder");
+  check_delta_contract(adder, mutants(adder, 6, 99),
+                       benchmarks::get("full_adder").spec, "full_adder");
+  const auto net = random_netlist_with(7, 77);
+  const auto spec = rqfp::simulate(net);
+  const auto correct =
+      check_delta_contract(net, mutants(net, 6, 99, 0.05), spec, "7 PIs");
+  EXPECT_NE(std::count(correct.begin(), correct.end(), true), 0)
+      << "no neutral mutant reached the cost phase";
+
+  // An undersized fitness span is rejected up front.
+  rqfp::SimCache cache;
+  rqfp::build_sim_cache(net, cache);
+  rqfp::CostCache cost;
+  rqfp::DeltaBatch batch;
+  std::vector<Fitness> short_span(1);
+  EXPECT_THROW(evaluate_delta_batch(net, cache, cost, {&net, &net}, spec, {},
+                                    batch, short_span),
+               std::invalid_argument);
+}
+
+TEST(Fitness, EvaluateDeltaBatchValidatesSpecShape) {
+  // A spec of the wrong PO count (an empty one included) or over the
+  // wrong number of variables throws before any row is read: neither the
+  // simulation nor the check counters move.
+  for (const unsigned pis : {3u, 8u}) {
+    const auto base = random_netlist_with(pis, 500 + pis);
+    const auto spec = rqfp::simulate(base);
+    const auto children = mutants(base, 4, 5);
+    std::vector<const rqfp::Netlist*> block;
+    for (const auto& child : children) {
+      block.push_back(&child);
+    }
+    rqfp::SimCache cache;
+    rqfp::build_sim_cache(base, cache);
+    rqfp::CostCache cost;
+    rqfp::DeltaBatch batch;
+    std::vector<Fitness> fit(block.size());
+
+    std::vector<std::vector<tt::TruthTable>> bad;
+    bad.emplace_back(spec.begin(), spec.end() - 1);
+    bad.push_back(spec);
+    bad.back().push_back(spec.front());
+    bad.emplace_back();
+    for (const unsigned vars : {pis - 1, pis + 1}) {
+      bad.emplace_back();
+      for (std::size_t i = 0; i < spec.size(); ++i) {
+        bad.back().push_back(tt::TruthTable(vars));
+      }
+    }
+    for (std::size_t b = 0; b < bad.size(); ++b) {
+      for (const auto& ptrs :
+           {std::vector<const rqfp::Netlist*>{block.front()}, block}) {
+        const std::string what = std::to_string(pis) + " PIs, bad spec " +
+                                 std::to_string(b) + ", batch of " +
+                                 std::to_string(ptrs.size());
+        const std::uint64_t words = counter_value("sim.words");
+        const std::uint64_t checks = counter_value("cec.sim_checks");
+        EXPECT_THROW(evaluate_delta_batch(base, cache, cost, ptrs, bad[b], {},
+                                          batch, fit),
+                     std::invalid_argument)
+            << what;
+        EXPECT_THROW(rqfp::simulate_delta_batch(base, ptrs, cache, batch,
+                                                bad[b]),
+                     std::invalid_argument)
+            << what;
+        EXPECT_EQ(counter_value("sim.words"), words) << what;
+        EXPECT_EQ(counter_value("cec.sim_checks"), checks) << what;
+      }
+    }
+  }
+}
+
+TEST(Fitness, ScreenRejectsChildWrongOnlyBeyondWordZero) {
+  // 8 PIs: four words per table. The spec is a child's own function with
+  // one bit of word 3 flipped, so the child matches it on words 0-2 of
+  // every PO — a screen that compared only a row's leading words would
+  // pass it. It must be rejected, never reported correct. Child 0 is the
+  // unmutated parent (all rows read from the base cache), child 1 a
+  // mutant (rows from its overlay).
+  const auto base = random_netlist_with(8, 808);
+  auto children = mutants(base, 4, 8);
+  children[0] = base;
+  for (const std::size_t j : {0u, 1u}) {
+    auto spec = rqfp::simulate(children[j]);
+    ASSERT_EQ(spec[0].num_words(), 4u);
+    EXPECT_TRUE(check_delta_contract(base, children, spec,
+                                     "exact spec")[j]);
+    const std::uint64_t bit = 3 * 64 + 17;
+    spec[0].set_bit(bit, !spec[0].bit(bit));
+    EXPECT_FALSE(check_delta_contract(base, children, spec,
+                                      "word-3 flip of child " +
+                                          std::to_string(j))[j]);
+  }
+}
+
+TEST(Fitness, ScreenChecksPosOnPiAndConstantPort) {
+  // PO 1 reads PI 0 and PO 2 the constant port: both are final before the
+  // first gate, so a spec that contradicts either rejects every child
+  // before the pass simulates anything.
+  for (const unsigned pis : {3u, 8u}) {
+    rqfp::Netlist base(pis);
+    const auto g0 = base.add_gate({2, 3, rqfp::kConstPort},
+                                  rqfp::InvConfig::reversible());
+    const auto g1 =
+        base.add_gate({base.port_of(g0, 0), base.port_of(g0, 1),
+                       pis > 3 ? rqfp::Port{4} : rqfp::kConstPort},
+                      rqfp::InvConfig::reversible());
+    base.add_po(base.port_of(g1, 2));
+    base.add_po(1);
+    base.add_po(rqfp::kConstPort);
+    ASSERT_EQ(base.validate(), "");
+    std::vector<rqfp::Netlist> children(3, base);
+    children[1].gate(0).config = rqfp::InvConfig(0x155);
+    children[2].gate(1).config = rqfp::InvConfig(0x0f3);
+    const std::string what = std::to_string(pis) + " PIs";
+
+    const auto spec = rqfp::simulate(base);
+    EXPECT_TRUE(check_delta_contract(base, children, spec, what)[0]);
+    for (const std::size_t po : {1u, 2u}) {
+      auto wrong = spec;
+      wrong[po] = ~wrong[po];
+      const auto correct = check_delta_contract(
+          base, children, wrong, what + ", PO " + std::to_string(po));
+      EXPECT_EQ(std::count(correct.begin(), correct.end(), true), 0);
+
+      // Rejected before the pass: no gate is simulated.
+      rqfp::SimCache cache;
+      rqfp::build_sim_cache(base, cache);
+      rqfp::DeltaBatch batch;
+      const std::uint64_t words = counter_value("sim.words");
+      rqfp::simulate_delta_batch(base, {&children[1], &children[2]}, cache,
+                                 batch, wrong);
+      EXPECT_EQ(counter_value("sim.words"), words) << what;
+      EXPECT_TRUE(batch.children[0].rejected && batch.children[1].rejected);
+    }
+  }
+}
+
+TEST(Fitness, ScreenRejectsWholeBlock) {
+  // Against the complement of the parent's function every mutant is
+  // wrong: the whole block is rejected, and the telemetry still counts one
+  // check per child and one reject per rejected child.
+  constexpr unsigned kLambda = 6;
+  for (const unsigned pis : {3u, 8u}) {
+    const auto base = random_netlist_with(pis, 900 + pis);
+    auto spec = rqfp::simulate(base);
+    for (auto& t : spec) {
+      t = ~t;
+    }
+    const auto children = mutants(base, kLambda, 13, 0.05);
+    const auto correct = check_delta_contract(base, children, spec,
+                                              std::to_string(pis) + " PIs");
+    EXPECT_EQ(std::count(correct.begin(), correct.end(), true), 0);
+
+    std::vector<const rqfp::Netlist*> ptrs;
+    for (const auto& child : children) {
+      ptrs.push_back(&child);
+    }
+    rqfp::SimCache cache;
+    rqfp::build_sim_cache(base, cache);
+    rqfp::CostCache cost;
+    rqfp::DeltaBatch batch;
+    std::vector<Fitness> fit(kLambda);
+    const std::uint64_t checks = counter_value("cec.sim_checks");
+    const std::uint64_t rejects = counter_value("sim.screen_rejects");
+    evaluate_delta_batch(base, cache, cost, ptrs, spec, {}, batch, fit);
+    EXPECT_EQ(counter_value("cec.sim_checks") - checks, kLambda);
+    EXPECT_EQ(counter_value("sim.screen_rejects") - rejects, kLambda);
+  }
+}
+
+TEST(Fitness, ScreenKeepsCorrectChildAfterRejectedSiblings) {
+  // Wrong siblings are rejected early in the same block; a neutral mutant
+  // after them must still run to the end, be reported correct and priced
+  // exactly like evaluate().
+  for (const unsigned pis : {3u, 8u}) {
+    const auto base = random_netlist_with(pis, 700 + pis);
+    const auto spec = rqfp::simulate(base);
+    std::vector<rqfp::Netlist> children;
+    std::optional<rqfp::Netlist> neutral;
+    MutationParams one_gene;
+    one_gene.mu = 1.0 / num_genes(base);
+    for (std::uint64_t k = 0; k < 2000 && (children.size() < 3 || !neutral);
+         ++k) {
+      auto child = base;
+      auto rng = util::Rng::stream(31, pis, k);
+      mutate(child, rng, children.size() < 3 ? MutationParams{} : one_gene);
+      const bool correct = evaluate(child, spec).functionally_correct();
+      if (!correct && children.size() < 3) {
+        children.push_back(std::move(child));
+      } else if (correct && !(child == base) && !neutral) {
+        neutral = std::move(child);
+      }
+    }
+    ASSERT_EQ(children.size(), 3u);
+    ASSERT_TRUE(neutral.has_value()) << pis << " PIs: no neutral mutant";
+    children.push_back(*neutral);
+    EXPECT_EQ(check_delta_contract(base, children, spec,
+                                   std::to_string(pis) + " PIs"),
+              (std::vector<bool>{false, false, false, true}));
   }
 }
 

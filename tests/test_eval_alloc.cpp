@@ -93,9 +93,9 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace rcgp::core {
 namespace {
 
-/// Runs `generations` λ-blocks of mutate + evaluate_delta_batch against a
-/// fixed parent after one warm-up generation; returns the heap allocations
-/// the measured generations made.
+/// Runs `generations` λ-blocks of mutate + evaluate_delta_batch (spec
+/// screening on) against a fixed parent after one warm-up generation;
+/// returns the heap allocations the measured generations made.
 std::size_t allocations_per_run(const std::string& name, double mu,
                                 unsigned generations) {
   const auto bench = benchmarks::get(name);
@@ -121,6 +121,7 @@ std::size_t allocations_per_run(const std::string& name, double mu,
   rqfp::DeltaBatch batch;
 
   std::size_t correct = 0;
+  std::size_t rejected = 0;
   const auto generation = [&](std::uint64_t gen) {
     for (unsigned k = 0; k < kLambda; ++k) {
       children[k] = parent;
@@ -131,18 +132,22 @@ std::size_t allocations_per_run(const std::string& name, double mu,
                          fitness);
     for (const Fitness& f : fitness) {
       correct += f.functionally_correct() ? 1 : 0;
+      rejected += f.functionally_correct() ? 0 : 1;
     }
   };
 
   generation(0); // warm-up: scratch reaches its steady-state capacity
+  correct = rejected = 0;
   const std::size_t before = g_allocations.load();
   for (std::uint64_t gen = 1; gen <= generations; ++gen) {
     generation(gen);
   }
   const std::size_t made = g_allocations.load() - before;
-  // The cost phase must have run too, or the test would miss its
-  // scratch.
+  // Both outcomes of the screen must have run in the measured blocks, or
+  // the test would miss their scratch: rejected children, and correct
+  // ones that passed it and reached the cost phase.
   EXPECT_GT(correct, 0u) << name << ": no offspring reached the cost phase";
+  EXPECT_GT(rejected, 0u) << name << ": the screen rejected no offspring";
   return made;
 }
 

@@ -305,12 +305,19 @@ TEST(Simulate, DeltaMatchesFullSimulation) {
   Netlist child = base;
   child.gate(0).config = InvConfig(0x155);
   DeltaBatch batch;
-  simulate_delta_batch(base, {&child}, cache, batch);
   const auto want = simulate(child);
+  ASSERT_NE(want, simulate(base));
+  // Screened against its own function the child passes with every row...
+  simulate_delta_batch(base, {&child}, cache, batch, want);
+  ASSERT_FALSE(batch.children[0].rejected);
   ASSERT_EQ(batch.children[0].po.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_TRUE(row_equals(batch.children[0].po[i], want[i])) << "PO " << i;
   }
+  // ...and against the parent's it is rejected, with no rows.
+  simulate_delta_batch(base, {&child}, cache, batch, simulate(base));
+  EXPECT_TRUE(batch.children[0].rejected);
+  EXPECT_TRUE(batch.children[0].po.empty());
   // The base cache is only read.
   EXPECT_EQ(cache.values, cached_values);
 
@@ -321,8 +328,12 @@ TEST(Simulate, DeltaMatchesFullSimulation) {
 
 // Random netlists on both sides of the one-word boundary (3 and 5 PIs are
 // sub-word tables with a masked top word, 7 and 8 PIs span 2 and 4
-// words), under every SIMD tier: batches of one and of λ against full
-// simulation, then the commit of an offspring against simulate_ports.
+// words), under every SIMD tier, against full simulation. Batch of one:
+// screened against its own function, each child passes and keeps every
+// PO row. Batch of λ: the block is screened against each child's function
+// in turn, so every child is rejected exactly when its function differs
+// and keeps its rows otherwise. Then the commit of an offspring against
+// simulate_ports.
 TEST(Simulate, DeltaBatchMatchesFullSimulationAcrossWidthsAndTiers) {
   TierGuard guard;
   constexpr unsigned kLambda = 5;
@@ -342,29 +353,39 @@ TEST(Simulate, DeltaBatchMatchesFullSimulationAcrossWidthsAndTiers) {
       for (int step = 0; step < 8; ++step) {
         std::vector<Netlist> children(kLambda, base);
         std::vector<const Netlist*> ptrs;
+        std::vector<std::vector<tt::TruthTable>> want;
         for (auto& child : children) {
           core::mutate(child, rng);
           ptrs.push_back(&child);
+          want.push_back(simulate(child));
         }
         const std::string what = std::to_string(pis) + " PIs, " +
                                  std::string(simd::to_string(tier)) +
                                  ", step " + std::to_string(step);
-        for (std::size_t k = 0; k < kLambda; ++k) {
-          const auto want = simulate(children[k]);
-          // Batch of one, then the same child inside the λ-block.
-          simulate_delta_batch(base, {ptrs[k]}, cache, batch);
-          for (std::size_t i = 0; i < want.size(); ++i) {
-            ASSERT_TRUE(row_equals(batch.children[0].po[i], want[i]))
-                << what << " child " << k << " PO " << i << " (batch of 1)";
+        const auto check_rows = [&](const DeltaBatch::Child& got,
+                                    std::size_t k, const std::string& how) {
+          ASSERT_FALSE(got.rejected) << what << " child " << k << how;
+          ASSERT_EQ(got.po.size(), want[k].size());
+          for (std::size_t i = 0; i < want[k].size(); ++i) {
+            ASSERT_TRUE(row_equals(got.po[i], want[k][i]))
+                << what << " child " << k << " PO " << i << how;
           }
-        }
-        simulate_delta_batch(base, ptrs, cache, batch);
+        };
         for (std::size_t k = 0; k < kLambda; ++k) {
-          const auto want = simulate(children[k]);
-          ASSERT_EQ(batch.children[k].po.size(), want.size());
-          for (std::size_t i = 0; i < want.size(); ++i) {
-            ASSERT_TRUE(row_equals(batch.children[k].po[i], want[i]))
-                << what << " child " << k << " PO " << i << " (batch of λ)";
+          simulate_delta_batch(base, {ptrs[k]}, cache, batch, want[k]);
+          check_rows(batch.children[0], k, " (batch of 1)");
+        }
+        for (std::size_t s = 0; s < kLambda; ++s) {
+          simulate_delta_batch(base, ptrs, cache, batch, want[s]);
+          for (std::size_t k = 0; k < kLambda; ++k) {
+            const std::string how =
+                " (batch of λ, spec of child " + std::to_string(s) + ")";
+            if (want[k] != want[s]) {
+              ASSERT_TRUE(batch.children[k].rejected)
+                  << what << " child " << k << how;
+            } else {
+              check_rows(batch.children[k], k, how);
+            }
           }
         }
         update_sim_cache(base, children[step % kLambda], cache);
@@ -385,8 +406,9 @@ TEST(Simulate, DeltaBatchRejectsShapeMismatch) {
   const auto h = other.add_gate({1, 2, 3}, InvConfig::reversible());
   other.add_po(other.port_of(h, 0));
   DeltaBatch batch;
-  EXPECT_THROW(simulate_delta_batch(base, {&other}, cache, batch),
-               std::invalid_argument);
+  EXPECT_THROW(
+      simulate_delta_batch(base, {&other}, cache, batch, simulate(base)),
+      std::invalid_argument);
   EXPECT_THROW(update_sim_cache(base, other, cache), std::invalid_argument);
 }
 
