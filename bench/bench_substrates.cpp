@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "aig/cuts.hpp"
 #include "aig/resyn.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "cec/sat_cec.hpp"
@@ -64,7 +65,7 @@ void BM_Isop(benchmark::State& state) {
     benchmark::DoNotOptimize(tt::isop(f));
   }
 }
-BENCHMARK(BM_Isop)->Arg(4)->Arg(8);
+BENCHMARK(BM_Isop)->Arg(4)->Arg(8)->Arg(10)->Arg(12);
 
 void BM_SatPigeonhole(benchmark::State& state) {
   const int holes = static_cast<int>(state.range(0));
@@ -93,14 +94,39 @@ void BM_SatPigeonhole(benchmark::State& state) {
 }
 BENCHMARK(BM_SatPigeonhole)->Arg(5)->Arg(7);
 
-void BM_Resyn2(benchmark::State& state) {
-  const auto b = benchmarks::get("intdiv6");
+void BM_Resyn2(benchmark::State& state, const char* circuit) {
+  const auto b = benchmarks::get(circuit);
   const auto net = core::aig_from_tables(b.spec);
   for (auto _ : state) {
     benchmark::DoNotOptimize(aig::resyn2(net));
   }
 }
-BENCHMARK(BM_Resyn2);
+BENCHMARK_CAPTURE(BM_Resyn2, intdiv6, "intdiv6");
+BENCHMARK_CAPTURE(BM_Resyn2, hwb8, "hwb8")->Unit(benchmark::kMillisecond);
+
+/// Cut function of the first hwb8 node whose reconvergence-driven cut has
+/// exactly `range(0)` leaves: the single-word (4) and multi-word (10)
+/// cone evaluations of rewriting and refactoring.
+void BM_CutFunction(benchmark::State& state) {
+  const auto leaves = static_cast<std::size_t>(state.range(0));
+  const auto b = benchmarks::get("hwb8");
+  const auto net = aig::resyn2(core::aig_from_tables(b.spec));
+  for (std::uint32_t n = 0; n < net.num_nodes(); ++n) {
+    if (!net.is_and(n)) {
+      continue;
+    }
+    const auto cut = aig::reconvergent_cut(net, n, leaves);
+    if (cut.leaves.size() != leaves) {
+      continue;
+    }
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(aig::cut_function(net, n, cut));
+    }
+    return;
+  }
+  state.SkipWithError("no cone with that many leaves");
+}
+BENCHMARK(BM_CutFunction)->Arg(4)->Arg(10);
 
 void BM_RqfpSimulateLive(benchmark::State& state) {
   const auto b = benchmarks::get("intdiv6");

@@ -14,13 +14,16 @@ std::uint64_t strash_key(Signal a, Signal b) {
 }
 } // namespace
 
-Aig::Aig() {
-  nodes_.push_back(Node{Signal(), Signal(), kConst});
+Aig::Aig() { push_node(Node{Signal(), Signal(), kConst}); }
+
+void Aig::push_node(const Node& node) {
+  nodes_.push_back(node);
+  repl_.push_back(kNotReplaced);
 }
 
 Signal Aig::create_pi(const std::string& name) {
   const auto n = static_cast<std::uint32_t>(nodes_.size());
-  nodes_.push_back(Node{Signal(), Signal(), kPi});
+  push_node(Node{Signal(), Signal(), kPi});
   pi_index_[n] = static_cast<std::uint32_t>(pis_.size());
   pis_.push_back(n);
   pi_names_.push_back(name.empty() ? "x" + std::to_string(pis_.size() - 1)
@@ -54,7 +57,7 @@ Signal Aig::strash_lookup_or_create(Signal a, Signal b) {
     return Signal(it->second, false);
   }
   const auto n = static_cast<std::uint32_t>(nodes_.size());
-  nodes_.push_back(Node{a, b, kAnd});
+  push_node(Node{a, b, kAnd});
   strash_[key] = n;
   return Signal(n, false);
 }
@@ -84,11 +87,11 @@ std::uint32_t Aig::add_po(Signal s, const std::string& name) {
 
 Signal Aig::resolve(Signal s) const {
   for (;;) {
-    const auto it = repl_.find(s.node());
-    if (it == repl_.end()) {
+    const std::uint32_t code = repl_[s.node()];
+    if (code == kNotReplaced) {
       return s;
     }
-    s = it->second ^ s.complemented();
+    s = Signal::from_code(code) ^ s.complemented();
   }
 }
 
@@ -100,7 +103,10 @@ void Aig::replace(std::uint32_t n, Signal s) {
   if (s.node() == n) {
     return;
   }
-  repl_[n] = s;
+  if (repl_[n] == kNotReplaced) {
+    ++num_replaced_;
+  }
+  repl_[n] = s.code();
 }
 
 std::uint32_t Aig::count_live_ands() const {
@@ -231,7 +237,10 @@ void Aig::pop_nodes_to(std::uint32_t first_kept) {
     if (it != strash_.end() && it->second == n) {
       strash_.erase(it);
     }
-    repl_.erase(n);
+    if (repl_[n] != kNotReplaced) {
+      --num_replaced_;
+    }
+    repl_.pop_back();
     nodes_.pop_back();
   }
 }

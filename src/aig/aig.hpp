@@ -105,8 +105,8 @@ public:
 
   /// Redirects `n` (an AND node) to `s`; future resolutions see `s`.
   void replace(std::uint32_t n, Signal s);
-  bool is_replaced(std::uint32_t n) const { return repl_.count(n) != 0; }
-  bool has_replacements() const { return !repl_.empty(); }
+  bool is_replaced(std::uint32_t n) const { return repl_[n] != kNotReplaced; }
+  bool has_replacements() const { return num_replaced_ != 0; }
 
   /// Compact copy: applies replacements, drops unreachable nodes, rebuilds
   /// the structural-hash table. PI/PO order and names are preserved.
@@ -125,7 +125,10 @@ public:
   void pop_nodes_to(std::uint32_t first_kept);
 
 private:
+  static constexpr std::uint32_t kNotReplaced = ~std::uint32_t{0};
+
   Signal strash_lookup_or_create(Signal a, Signal b);
+  void push_node(const Node& node);
 
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> pis_;
@@ -134,7 +137,10 @@ private:
   std::vector<std::string> po_names_;
   std::unordered_map<std::uint32_t, std::uint32_t> pi_index_;
   std::unordered_map<std::uint64_t, std::uint32_t> strash_;
-  std::unordered_map<std::uint32_t, Signal> repl_;
+  /// Per-node replacement signal code, kNotReplaced for a live node; kept
+  /// the same length as nodes_.
+  std::vector<std::uint32_t> repl_;
+  std::uint32_t num_replaced_ = 0;
 };
 
 } // namespace rcgp::aig

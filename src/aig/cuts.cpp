@@ -1,18 +1,20 @@
 #include "aig/cuts.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace rcgp::aig {
 
-bool Cut::dominates(const Cut& other) const {
-  // `this` dominates `other` if this->leaves ⊆ other.leaves.
-  return std::includes(other.leaves.begin(), other.leaves.end(),
-                       leaves.begin(), leaves.end());
-}
-
 namespace {
+
+constexpr std::uint32_t kPending = ~std::uint32_t{0}; // CutEvaluator slot_
+
+/// True if the sorted leaf set `small` is a subset of `big`.
+bool subset_of(const std::vector<std::uint32_t>& small,
+               const std::vector<std::uint32_t>& big) {
+  return std::includes(big.begin(), big.end(), small.begin(), small.end());
+}
 
 /// Merge two sorted leaf sets; returns false if the union exceeds `limit`.
 bool merge_leaves(const std::vector<std::uint32_t>& a,
@@ -41,22 +43,32 @@ bool merge_leaves(const std::vector<std::uint32_t>& a,
   return true;
 }
 
-void add_cut_filtered(std::vector<Cut>& cuts, Cut cut, unsigned max_cuts) {
-  // Drop if dominated by an existing cut; remove cuts it dominates.
+void add_cut_filtered(std::vector<Cut>& cuts,
+                      const std::vector<std::uint32_t>& leaves,
+                      unsigned max_cuts) {
+  // Drop if dominated by an existing cut; remove cuts it dominates. The
+  // leaves are copied into a Cut only when it is kept.
   for (const auto& c : cuts) {
-    if (c.dominates(cut)) {
+    if (subset_of(c.leaves, leaves)) {
       return;
     }
   }
   cuts.erase(std::remove_if(cuts.begin(), cuts.end(),
-                            [&](const Cut& c) { return cut.dominates(c); }),
+                            [&](const Cut& c) {
+                              return subset_of(leaves, c.leaves);
+                            }),
              cuts.end());
   if (cuts.size() < max_cuts) {
-    cuts.push_back(std::move(cut));
+    cuts.push_back(Cut{leaves});
   }
 }
 
 } // namespace
+
+bool Cut::dominates(const Cut& other) const {
+  // `this` dominates `other` if this->leaves ⊆ other.leaves.
+  return subset_of(leaves, other.leaves);
+}
 
 std::vector<std::vector<Cut>> enumerate_cuts(const Aig& aig,
                                              const CutParams& params) {
@@ -78,7 +90,7 @@ std::vector<std::vector<Cut>> enumerate_cuts(const Aig& aig,
         if (!merge_leaves(ca.leaves, cb.leaves, params.max_leaves, merged)) {
           continue;
         }
-        add_cut_filtered(mine, Cut{merged}, params.max_cuts_per_node);
+        add_cut_filtered(mine, merged, params.max_cuts_per_node);
       }
     }
     // Trivial cut last, always present.
@@ -87,54 +99,107 @@ std::vector<std::vector<Cut>> enumerate_cuts(const Aig& aig,
   return cuts;
 }
 
-tt::TruthTable cut_function(const Aig& aig, std::uint32_t root,
-                            const Cut& cut) {
-  const auto k = static_cast<unsigned>(cut.leaves.size());
-  std::unordered_map<std::uint32_t, tt::TruthTable> memo;
-  for (unsigned i = 0; i < k; ++i) {
-    memo[cut.leaves[i]] = tt::TruthTable::projection(k, i);
+const std::uint64_t* CutEvaluator::evaluate(
+    const Aig& aig, std::uint32_t root, std::span<const std::uint32_t> leaves,
+    std::size_t max_ands) {
+  const auto k = static_cast<unsigned>(leaves.size());
+  if (k > tt::TruthTable::kMaxVars) {
+    throw std::invalid_argument("cut_function: too many leaves");
   }
-  // The constant node may appear as a leaf only in degenerate cones; give
-  // it its semantics if not already a leaf.
-  if (!memo.count(0)) {
-    memo[0] = tt::TruthTable::constant(k, false);
+  const std::size_t words = tt::num_words_for(k);
+  if (stamp_.size() < aig.num_nodes()) {
+    stamp_.resize(aig.num_nodes(), 0);
+    slot_.resize(aig.num_nodes());
+  }
+  if (++epoch_ == 0) {
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
+  }
+  std::uint32_t num_tables = 0;
+  // Appends a table for `n` and returns its word offset in tables_ (the
+  // vector may grow, so callers take pointers only after allocating).
+  const auto new_table = [&](std::uint32_t n) {
+    stamp_[n] = epoch_;
+    slot_[n] = num_tables;
+    const std::size_t at = std::size_t{num_tables++} * words;
+    if (tables_.size() < at + words) {
+      tables_.resize(at + words);
+    }
+    return at;
+  };
+
+  for (unsigned i = 0; i < k; ++i) {
+    const std::size_t at = new_table(leaves[i]);
+    std::uint64_t* t = tables_.data() + at;
+    for (std::size_t w = 0; w < words; ++w) {
+      t[w] = i < 6 ? tt::kProjectionMasks[i]
+                   : (((w >> (i - 6)) & 1) != 0 ? ~std::uint64_t{0} : 0);
+    }
+  }
+  if (stamp_[0] != epoch_) {
+    const std::size_t at = new_table(0);
+    std::uint64_t* t = tables_.data() + at;
+    std::fill(t, t + words, 0);
   }
 
-  // Iterative post-order evaluation.
-  std::vector<std::uint32_t> stack{root};
-  while (!stack.empty()) {
-    const std::uint32_t n = stack.back();
-    if (memo.count(n)) {
-      stack.pop_back();
+  // Post-order DFS. A node is pending from its first visit until its
+  // fanins are done; in a DAG no fanin of a node can be pending when it is
+  // first visited, so a pending node back on top is ready to evaluate.
+  std::size_t num_ands = 0;
+  stack_.clear();
+  stack_.push_back(root);
+  while (!stack_.empty()) {
+    const std::uint32_t n = stack_.back();
+    if (stamp_[n] == epoch_) {
+      stack_.pop_back();
+      if (slot_[n] != kPending) {
+        continue;
+      }
+      const Signal sa = aig.fanin0(n);
+      const Signal sb = aig.fanin1(n);
+      const std::size_t at = new_table(n);
+      const std::uint64_t* ta = tables_.data() + slot_[sa.node()] * words;
+      const std::uint64_t* tb = tables_.data() + slot_[sb.node()] * words;
+      const std::uint64_t ca = sa.complemented() ? ~std::uint64_t{0} : 0;
+      const std::uint64_t cb = sb.complemented() ? ~std::uint64_t{0} : 0;
+      std::uint64_t* t = tables_.data() + at;
+      for (std::size_t w = 0; w < words; ++w) {
+        t[w] = (ta[w] ^ ca) & (tb[w] ^ cb);
+      }
       continue;
     }
-    if (!aig.is_and(n)) {
-      throw std::invalid_argument("cut_function: cone escapes the cut");
+    if (!aig.is_and(n) || ++num_ands > max_ands) {
+      return nullptr; // escapes the cut, or a degenerate / stale cone
     }
+    stamp_[n] = epoch_;
+    slot_[n] = kPending;
     const std::uint32_t a = aig.fanin0(n).node();
     const std::uint32_t b = aig.fanin1(n).node();
-    bool ready = true;
-    if (!memo.count(a)) {
-      stack.push_back(a);
-      ready = false;
+    if (stamp_[a] != epoch_) {
+      stack_.push_back(a);
     }
-    if (!memo.count(b)) {
-      stack.push_back(b);
-      ready = false;
+    if (stamp_[b] != epoch_) {
+      stack_.push_back(b);
     }
-    if (!ready) {
-      continue;
-    }
-    stack.pop_back();
-    const Signal sa = aig.fanin0(n);
-    const Signal sb = aig.fanin1(n);
-    const tt::TruthTable ta =
-        sa.complemented() ? ~memo[sa.node()] : memo[sa.node()];
-    const tt::TruthTable tb =
-        sb.complemented() ? ~memo[sb.node()] : memo[sb.node()];
-    memo[n] = ta & tb;
   }
-  return memo[root];
+  std::uint64_t* result = tables_.data() + slot_[root] * words;
+  if (k < 6) {
+    result[0] &= (std::uint64_t{1} << (1u << k)) - 1;
+  }
+  return result;
+}
+
+tt::TruthTable cut_function(const Aig& aig, std::uint32_t root,
+                            const Cut& cut) {
+  thread_local CutEvaluator evaluator;
+  const std::uint64_t* words = evaluator.evaluate(
+      aig, root, cut.leaves, std::numeric_limits<std::size_t>::max());
+  if (words == nullptr) {
+    throw std::invalid_argument("cut_function: cone escapes the cut");
+  }
+  tt::TruthTable t(static_cast<unsigned>(cut.leaves.size()));
+  std::copy(words, words + t.num_words(), t.data());
+  return t;
 }
 
 Cut reconvergent_cut(const Aig& aig, std::uint32_t root, unsigned max_leaves) {

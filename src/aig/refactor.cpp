@@ -5,6 +5,8 @@ namespace rcgp::aig {
 PassStats refactor_pass(Aig& aig, const RefactorParams& params) {
   PassStats stats;
   GainManager gm(aig);
+  CutEvaluator evaluator;
+  std::vector<Signal> leaf_sigs;
   const std::uint32_t original_count = aig.num_nodes();
 
   for (std::uint32_t n = 0; n < original_count; ++n) {
@@ -15,20 +17,21 @@ PassStats refactor_pass(Aig& aig, const RefactorParams& params) {
     if (cut.leaves.size() < 2 || cut.leaves.size() > params.max_leaves) {
       continue;
     }
-    const auto func = try_cut_function(aig, n, cut);
-    if (!func) {
+    const std::uint64_t* func =
+        evaluator.evaluate(aig, n, cut.leaves, kMaxConeAnds);
+    if (func == nullptr) {
       continue;
     }
     ++stats.attempts;
 
     const std::uint32_t saved = gm.deref_mffc(n);
-    std::vector<Signal> leaf_sigs;
-    leaf_sigs.reserve(cut.leaves.size());
+    leaf_sigs.clear();
     for (const auto leaf : cut.leaves) {
       leaf_sigs.push_back(Signal(leaf, false));
     }
     const std::uint32_t first_new = aig.num_nodes();
-    const Signal cand = build_factored(aig, *func, leaf_sigs);
+    const auto k = static_cast<unsigned>(cut.leaves.size());
+    const Signal cand = build_factored(aig, func, k, leaf_sigs);
     if (cand.node() == n) {
       aig.pop_nodes_to(first_new);
       gm.ref_mffc(n);

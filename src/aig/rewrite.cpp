@@ -76,36 +76,21 @@ void GainManager::commit(std::uint32_t root, Signal candidate) {
 std::optional<tt::TruthTable> try_cut_function(const Aig& aig,
                                                std::uint32_t root,
                                                const Cut& cut) {
-  // Validate the cone does not escape before computing.
-  std::vector<std::uint32_t> stack{root};
-  std::vector<std::uint32_t> seen;
-  auto is_leaf = [&](std::uint32_t n) {
-    return std::binary_search(cut.leaves.begin(), cut.leaves.end(), n);
-  };
-  while (!stack.empty()) {
-    const std::uint32_t n = stack.back();
-    stack.pop_back();
-    if (is_leaf(n) || n == 0 ||
-        std::find(seen.begin(), seen.end(), n) != seen.end()) {
-      continue;
-    }
-    if (!aig.is_and(n)) {
-      return std::nullopt; // hit a PI that is not a leaf
-    }
-    seen.push_back(n);
-    if (seen.size() > 256) {
-      return std::nullopt; // degenerate / stale cut
-    }
-    stack.push_back(aig.fanin0(n).node());
-    stack.push_back(aig.fanin1(n).node());
+  thread_local CutEvaluator evaluator;
+  const std::uint64_t* words =
+      evaluator.evaluate(aig, root, cut.leaves, kMaxConeAnds);
+  if (words == nullptr) {
+    return std::nullopt;
   }
-  return cut_function(aig, root, cut);
+  tt::TruthTable t(static_cast<unsigned>(cut.leaves.size()));
+  std::copy(words, words + t.num_words(), t.data());
+  return t;
 }
 
 namespace {
 
 /// Literal-count estimate of a factored form, used to choose polarity.
-std::uint64_t factored_cost(const std::vector<tt::Cube>& cubes) {
+std::uint64_t factored_cost(std::span<const tt::Cube> cubes) {
   std::uint64_t lits = 0;
   for (const auto& c : cubes) {
     lits += c.num_literals();
@@ -126,18 +111,21 @@ Signal build_cube(Aig& aig, const tt::Cube& cube,
   return acc;
 }
 
-Signal build_cover(Aig& aig, std::vector<tt::Cube> cubes,
-                   std::span<const Signal> leaves) {
-  if (cubes.empty()) {
+/// Factors the cover cubes[begin, end). The quotient and remainder of each
+/// algebraic division are appended to `cubes` and dropped again on return,
+/// so the vector doubles as the recursion's stack of cube lists.
+Signal build_cover(Aig& aig, std::vector<tt::Cube>& cubes, std::size_t begin,
+                   std::size_t end, std::span<const Signal> leaves) {
+  if (begin == end) {
     return aig.const0();
   }
-  for (const auto& c : cubes) {
-    if (c.mask == 0) {
+  for (std::size_t i = begin; i < end; ++i) {
+    if (cubes[i].mask == 0) {
       return aig.const1();
     }
   }
-  if (cubes.size() == 1) {
-    return build_cube(aig, cubes[0], leaves);
+  if (end - begin == 1) {
+    return build_cube(aig, cubes[begin], leaves);
   }
   // Find the most frequent literal for algebraic division.
   unsigned best_var = 0;
@@ -146,9 +134,9 @@ Signal build_cover(Aig& aig, std::vector<tt::Cube> cubes,
   for (unsigned v = 0; v < leaves.size(); ++v) {
     for (const bool pol : {false, true}) {
       unsigned count = 0;
-      for (const auto& c : cubes) {
-        if ((c.mask & (1u << v)) &&
-            (((c.polarity >> v) & 1) != 0) == pol) {
+      for (std::size_t i = begin; i < end; ++i) {
+        if ((cubes[i].mask & (1u << v)) &&
+            (((cubes[i].polarity >> v) & 1) != 0) == pol) {
           ++count;
         }
       }
@@ -162,27 +150,36 @@ Signal build_cover(Aig& aig, std::vector<tt::Cube> cubes,
   if (best_count <= 1) {
     // No common literal: plain OR of cube ANDs.
     Signal acc = aig.const0();
-    for (const auto& c : cubes) {
-      acc = aig.create_or(acc, build_cube(aig, c, leaves));
+    for (std::size_t i = begin; i < end; ++i) {
+      acc = aig.create_or(acc, build_cube(aig, cubes[i], leaves));
     }
     return acc;
   }
-  std::vector<tt::Cube> quotient;
-  std::vector<tt::Cube> remainder;
-  for (const auto& c : cubes) {
-    if ((c.mask & (1u << best_var)) &&
-        (((c.polarity >> best_var) & 1) != 0) == best_pol) {
-      tt::Cube q = c;
+  const auto has_literal = [&](const tt::Cube& c) {
+    return (c.mask & (1u << best_var)) &&
+           (((c.polarity >> best_var) & 1) != 0) == best_pol;
+  };
+  const std::size_t quotient = cubes.size();
+  for (std::size_t i = begin; i < end; ++i) {
+    tt::Cube q = cubes[i];
+    if (has_literal(q)) {
       q.mask &= ~(1u << best_var);
       q.polarity &= ~(1u << best_var);
-      quotient.push_back(q);
-    } else {
-      remainder.push_back(c);
+      cubes.push_back(q);
     }
   }
+  const std::size_t remainder = cubes.size();
+  for (std::size_t i = begin; i < end; ++i) {
+    const tt::Cube r = cubes[i];
+    if (!has_literal(r)) {
+      cubes.push_back(r);
+    }
+  }
+  const std::size_t remainder_end = cubes.size();
   const Signal lit = best_pol ? leaves[best_var] : !leaves[best_var];
-  const Signal q = build_cover(aig, std::move(quotient), leaves);
-  const Signal r = build_cover(aig, std::move(remainder), leaves);
+  const Signal q = build_cover(aig, cubes, quotient, remainder, leaves);
+  const Signal r = build_cover(aig, cubes, remainder, remainder_end, leaves);
+  cubes.resize(quotient);
   return aig.create_or(aig.create_and(lit, q), r);
 }
 
@@ -190,12 +187,32 @@ Signal build_cover(Aig& aig, std::vector<tt::Cube> cubes,
 
 Signal build_factored(Aig& aig, const tt::TruthTable& function,
                       std::span<const Signal> leaf_signals) {
-  const auto pos_cubes = tt::isop(function);
-  const auto neg_cubes = tt::isop(~function);
-  if (factored_cost(neg_cubes) < factored_cost(pos_cubes)) {
-    return !build_cover(aig, neg_cubes, leaf_signals);
+  return build_factored(aig, function.data(), function.num_vars(),
+                        leaf_signals);
+}
+
+Signal build_factored(Aig& aig, const std::uint64_t* function,
+                      unsigned num_vars, std::span<const Signal> leaf_signals) {
+  // Both covers live in one cube vector: the positive-polarity ISOP, then
+  // the ISOP of the complement.
+  thread_local std::vector<tt::Cube> cubes;
+  thread_local std::vector<std::uint64_t> complement;
+  const std::size_t words = tt::num_words_for(num_vars);
+  complement.resize(words);
+  for (std::size_t w = 0; w < words; ++w) {
+    complement[w] = ~function[w];
   }
-  return build_cover(aig, pos_cubes, leaf_signals);
+  cubes.clear();
+  tt::isop(function, function, num_vars, cubes);
+  const std::size_t num_pos = cubes.size();
+  tt::isop(complement.data(), complement.data(), num_vars, cubes);
+  const std::size_t num_all = cubes.size();
+  const std::span<const tt::Cube> all(cubes);
+  if (factored_cost(all.subspan(num_pos)) <
+      factored_cost(all.first(num_pos))) {
+    return !build_cover(aig, cubes, num_pos, num_all, leaf_signals);
+  }
+  return build_cover(aig, cubes, 0, num_pos, leaf_signals);
 }
 
 PassStats rewrite_pass(Aig& aig, const RewriteParams& params) {
@@ -205,6 +222,8 @@ PassStats rewrite_pass(Aig& aig, const RewriteParams& params) {
   cp.max_cuts_per_node = params.max_cuts_per_node;
   const auto cuts = enumerate_cuts(aig, cp);
   GainManager gm(aig);
+  CutEvaluator evaluator;
+  std::vector<Signal> leaf_sigs;
   const std::uint32_t original_count = aig.num_nodes();
 
   for (std::uint32_t n = 0; n < original_count; ++n) {
@@ -213,8 +232,7 @@ PassStats rewrite_pass(Aig& aig, const RewriteParams& params) {
     }
     // Best candidate over all cuts of n.
     for (const auto& cut : cuts[n]) {
-      if (cut.leaves.size() < 2 ||
-          (cut.leaves.size() == 1 && cut.leaves[0] == n)) {
+      if (cut.leaves.size() < 2) {
         continue;
       }
       bool stale = false;
@@ -227,20 +245,21 @@ PassStats rewrite_pass(Aig& aig, const RewriteParams& params) {
       if (stale) {
         continue;
       }
-      const auto func = try_cut_function(aig, n, cut);
-      if (!func) {
+      const std::uint64_t* func =
+          evaluator.evaluate(aig, n, cut.leaves, kMaxConeAnds);
+      if (func == nullptr) {
         continue;
       }
       ++stats.attempts;
 
       const std::uint32_t saved = gm.deref_mffc(n);
-      std::vector<Signal> leaf_sigs;
-      leaf_sigs.reserve(cut.leaves.size());
+      leaf_sigs.clear();
       for (const auto leaf : cut.leaves) {
         leaf_sigs.push_back(Signal(leaf, false));
       }
       const std::uint32_t first_new = aig.num_nodes();
-      const Signal cand = build_factored(aig, *func, leaf_sigs);
+      const auto k = static_cast<unsigned>(cut.leaves.size());
+      const Signal cand = build_factored(aig, func, k, leaf_sigs);
       if (cand.node() == n) {
         // Factoring reproduced the same root: undo and move on.
         aig.pop_nodes_to(first_new);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -61,8 +62,13 @@ private:
   std::vector<std::uint32_t> refs_;
 };
 
+/// Largest cone, in AND nodes, that rewriting and refactoring resynthesize;
+/// a larger one means a degenerate or stale cut.
+inline constexpr std::size_t kMaxConeAnds = 256;
+
 /// Cut function that returns nullopt when the cone escapes the cut (can
-/// happen when precomputed cuts go stale after replacements).
+/// happen when precomputed cuts go stale after replacements) or holds more
+/// than kMaxConeAnds AND nodes.
 std::optional<tt::TruthTable> try_cut_function(const Aig& aig,
                                                std::uint32_t root,
                                                const Cut& cut);
@@ -71,6 +77,12 @@ std::optional<tt::TruthTable> try_cut_function(const Aig& aig,
 /// algebraic factoring (better polarity chosen automatically).
 Signal build_factored(Aig& aig, const tt::TruthTable& function,
                       std::span<const Signal> leaf_signals);
+
+/// The same on a raw table in tt::TruthTable word layout over `num_vars`
+/// variables; bits above 2^num_vars in a sub-word table are ignored. Works
+/// on per-thread scratch, so a warm call allocates only inside the AIG.
+Signal build_factored(Aig& aig, const std::uint64_t* function,
+                      unsigned num_vars, std::span<const Signal> leaf_signals);
 
 /// DAG-aware cut rewriting (ABC `rewrite`-style): for every live AND node,
 /// tries to re-express each enumerated cut with a factored form and commits

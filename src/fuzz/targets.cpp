@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "aig/aig_simulate.hpp"
+#include "aig/resyn.hpp"
 #include "batch/manifest.hpp"
 #include "cache/store.hpp"
 #include "cec/bdd_cec.hpp"
@@ -173,6 +174,18 @@ void check_aig_roundtrips(CaseContext& ctx, std::vector<Finding>& out) {
              std::string("round trip threw: ") + e.what());
       return;
     }
+  }
+
+  // Logic optimization: resyn2 (rewriting and refactoring over ISOP
+  // factored cut functions, balancing) must preserve every PO function.
+  try {
+    if (aig::simulate(aig::resyn2(net)) != reference) {
+      report("aig-resyn2", "resyn2 changed a PO function");
+      return;
+    }
+  } catch (const std::exception& e) {
+    report("aig-resyn2", std::string("resyn2 threw: ") + e.what());
+    return;
   }
 
   // Substrate round trip: the MIG conversion (and its Ω-rule rewriting)

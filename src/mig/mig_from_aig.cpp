@@ -9,25 +9,25 @@ namespace rcgp::mig {
 
 namespace {
 
+// A 3-variable table fills the low 8 bits of its single word.
+constexpr std::uint64_t kTable3 = 0xFF;
+constexpr std::uint64_t kVarA = tt::kProjectionMasks[0] & kTable3;
+constexpr std::uint64_t kVarB = tt::kProjectionMasks[1] & kTable3;
+constexpr std::uint64_t kVarC = tt::kProjectionMasks[2] & kTable3;
+
 /// If `f` (a 3-var table) is MAJ with some input/output complementations,
 /// returns the 4-bit phase word: bits 0..2 complement inputs, bit 3 the
 /// output.
-std::optional<unsigned> match_majority(const tt::TruthTable& f) {
-  if (f.num_vars() != 3) {
-    return std::nullopt;
-  }
-  const auto a = tt::TruthTable::projection(3, 0);
-  const auto b = tt::TruthTable::projection(3, 1);
-  const auto c = tt::TruthTable::projection(3, 2);
+std::optional<unsigned> match_majority(std::uint64_t f) {
   for (unsigned phase = 0; phase < 16; ++phase) {
-    const auto pa = (phase & 1) ? ~a : a;
-    const auto pb = (phase & 2) ? ~b : b;
-    const auto pc = (phase & 4) ? ~c : c;
-    auto m = tt::TruthTable::majority(pa, pb, pc);
+    const std::uint64_t pa = (phase & 1) ? ~kVarA : kVarA;
+    const std::uint64_t pb = (phase & 2) ? ~kVarB : kVarB;
+    const std::uint64_t pc = (phase & 4) ? ~kVarC : kVarC;
+    std::uint64_t m = (pa & pb) | (pa & pc) | (pb & pc);
     if (phase & 8) {
       m = ~m;
     }
-    if (m == f) {
+    if ((m & kTable3) == f) {
       return phase;
     }
   }
@@ -36,17 +36,12 @@ std::optional<unsigned> match_majority(const tt::TruthTable& f) {
 
 /// True if `f` is the 3-input parity (possibly complemented); returns the
 /// output complement flag. Input complements fold into the same class.
-std::optional<bool> match_parity3(const tt::TruthTable& f) {
-  if (f.num_vars() != 3) {
-    return std::nullopt;
-  }
-  const auto parity = tt::TruthTable::projection(3, 0) ^
-                      tt::TruthTable::projection(3, 1) ^
-                      tt::TruthTable::projection(3, 2);
+std::optional<bool> match_parity3(std::uint64_t f) {
+  constexpr std::uint64_t parity = kVarA ^ kVarB ^ kVarC;
   if (f == parity) {
     return false;
   }
-  if (f == ~parity) {
+  if (f == (~parity & kTable3)) {
     return true;
   }
   return std::nullopt;
@@ -86,8 +81,8 @@ Mig mig_from_aig(const aig::Aig& input, FromAigStats* stats) {
       if (cut.leaves.size() != 3) {
         continue;
       }
-      const auto func = aig::cut_function(net, n, cut);
-      const auto phase = match_majority(func);
+      const auto phase =
+          match_majority(aig::cut_function(net, n, cut).word(0));
       if (!phase) {
         continue;
       }
@@ -114,8 +109,8 @@ Mig mig_from_aig(const aig::Aig& input, FromAigStats* stats) {
         if (cut.leaves.size() != 3) {
           continue;
         }
-        const auto func = aig::cut_function(net, n, cut);
-        const auto out_compl = match_parity3(func);
+        const auto out_compl =
+            match_parity3(aig::cut_function(net, n, cut).word(0));
         if (!out_compl) {
           continue;
         }

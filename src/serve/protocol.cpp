@@ -300,15 +300,21 @@ bool write_line(int fd, std::string_view line) {
 
 bool LineReader::next(std::string& line) {
   for (;;) {
-    const auto nl = buf_.find('\n');
+    const auto nl = buf_.find('\n', scanned_);
     if (nl != std::string::npos) {
-      line.assign(buf_, 0, nl);
-      buf_.erase(0, nl + 1);
+      line.assign(buf_, head_, nl - head_);
+      head_ = nl + 1;
+      scanned_ = head_;
       return true;
     }
+    scanned_ = buf_.size(); // no newline before here: never rescan it
     if (eof_) {
       return false;
     }
+    // Drop the consumed lines once per refill, not once per line.
+    buf_.erase(0, head_);
+    scanned_ -= head_;
+    head_ = 0;
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0) {

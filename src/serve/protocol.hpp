@@ -105,6 +105,8 @@ public:
 private:
   int fd_;
   std::string buf_;
+  std::size_t head_ = 0;    // start of the first unconsumed line in buf_
+  std::size_t scanned_ = 0; // buf_[head_, scanned_) holds no '\n'
   bool eof_ = false;
 };
 

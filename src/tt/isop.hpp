@@ -28,6 +28,14 @@ struct Cube {
 /// exact function. Result cubes are irredundant but not globally minimal.
 std::vector<Cube> isop(const TruthTable& onset, const TruthTable& dc);
 
+/// The same cover on raw words: appends the ISOP of the interval
+/// [lower, upper] (lower ⊆ upper) to `cubes`. Both tables are in
+/// TruthTable word layout over `num_vars` <= 31 variables; bits above
+/// 2^num_vars in a sub-word table are ignored. Runs on word scratch (on the
+/// stack up to 10 variables) and allocates only to grow `cubes`.
+void isop(const std::uint64_t* lower, const std::uint64_t* upper,
+          unsigned num_vars, std::vector<Cube>& cubes);
+
 inline std::vector<Cube> isop(const TruthTable& onset) {
   return isop(onset, TruthTable::constant(onset.num_vars(), false));
 }

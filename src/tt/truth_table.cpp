@@ -8,21 +8,8 @@
 
 namespace rcgp::tt {
 
-namespace {
-
-// Bit masks for the projection of variable v (< 6) within one 64-bit word.
-constexpr std::uint64_t kProjection[6] = {
-    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
-    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
-
-std::size_t word_count(unsigned num_vars) {
-  return num_vars < 6 ? 1 : (std::size_t{1} << (num_vars - 6));
-}
-
-} // namespace
-
 TruthTable::TruthTable(unsigned num_vars)
-    : num_vars_(num_vars), words_(word_count(num_vars), 0) {
+    : num_vars_(num_vars), words_(num_words_for(num_vars), 0) {
   if (num_vars > kMaxVars) {
     throw std::invalid_argument("TruthTable: too many variables");
   }
@@ -43,7 +30,7 @@ TruthTable TruthTable::projection(unsigned num_vars, unsigned var) {
   }
   TruthTable t(num_vars);
   if (var < 6) {
-    std::fill(t.words_.begin(), t.words_.end(), kProjection[var]);
+    std::fill(t.words_.begin(), t.words_.end(), kProjectionMasks[var]);
     t.mask_top_word();
   } else {
     const std::size_t stride = std::size_t{1} << (var - 6);
@@ -174,7 +161,7 @@ bool TruthTable::depends_on(unsigned var) const {
 TruthTable TruthTable::cofactor0(unsigned var) const {
   TruthTable r(*this);
   if (var < 6) {
-    const std::uint64_t mask = ~kProjection[var];
+    const std::uint64_t mask = ~kProjectionMasks[var];
     const unsigned shift = 1u << var;
     for (auto& w : r.words_) {
       const std::uint64_t low = w & mask;
@@ -195,7 +182,7 @@ TruthTable TruthTable::cofactor0(unsigned var) const {
 TruthTable TruthTable::cofactor1(unsigned var) const {
   TruthTable r(*this);
   if (var < 6) {
-    const std::uint64_t mask = kProjection[var];
+    const std::uint64_t mask = kProjectionMasks[var];
     const unsigned shift = 1u << var;
     for (auto& w : r.words_) {
       const std::uint64_t high = w & mask;
@@ -217,7 +204,7 @@ TruthTable TruthTable::flip_var(unsigned var) const {
   TruthTable r(*this);
   if (var < 6) {
     const unsigned shift = 1u << var;
-    const std::uint64_t mask = kProjection[var];
+    const std::uint64_t mask = kProjectionMasks[var];
     for (auto& w : r.words_) {
       w = ((w & mask) >> shift) | ((w & ~mask) << shift);
     }

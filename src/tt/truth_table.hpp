@@ -1,10 +1,21 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace rcgp::tt {
+
+/// Bit masks of the projection of variable v < 6 within one 64-bit word.
+inline constexpr std::uint64_t kProjectionMasks[6] = {
+    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
+
+/// Number of 64-bit words of a table over `num_vars` variables.
+constexpr std::size_t num_words_for(unsigned num_vars) {
+  return num_vars <= 6 ? 1 : std::size_t{1} << (num_vars - 6);
+}
 
 /// Bit-parallel dynamic truth table over `num_vars` Boolean variables.
 ///

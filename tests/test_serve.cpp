@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -48,6 +53,50 @@ TEST(Protocol, ListenRejectsOverlongPaths) {
 
 TEST(Protocol, ConnectToNothingThrows) {
   EXPECT_THROW(connect_unix(temp_socket("nobody.sock")), std::runtime_error);
+}
+
+/// Sends `data` over `fd` in chunks of at most `chunk` bytes.
+void send_all(int fd, std::string_view data, std::size_t chunk) {
+  while (!data.empty()) {
+    const std::size_t len = std::min(chunk, data.size());
+    const ssize_t n = ::send(fd, data.data(), len, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    data.remove_prefix(static_cast<std::size_t>(n));
+  }
+}
+
+TEST(Protocol, LineReaderReassemblesLongAndPipelinedLines) {
+  // One 1 MiB line sent in 4 KiB chunks, then 10 000 short lines sent in
+  // one burst: every line comes back byte-identical and in order, and a
+  // trailing unterminated fragment is dropped at EOF.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::string long_line(1 << 20, 'x');
+  for (std::size_t i = 0; i < long_line.size(); i += 997) {
+    long_line[i] = static_cast<char>('a' + i % 26);
+  }
+  std::vector<std::string> short_lines;
+  std::string burst;
+  for (int i = 0; i < 10000; ++i) {
+    short_lines.push_back("{\"id\":\"" + std::to_string(i) + "\"}");
+    burst += short_lines.back() + "\n";
+  }
+  std::thread writer([&] {
+    send_all(fds[1], long_line + "\n", 4096);
+    send_all(fds[1], burst + "unterminated", burst.size() + 12);
+    ::close(fds[1]);
+  });
+  LineReader reader(fds[0]);
+  std::string line;
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(line, long_line);
+  for (const auto& expected : short_lines) {
+    ASSERT_TRUE(reader.next(line));
+    ASSERT_EQ(line, expected);
+  }
+  EXPECT_FALSE(reader.next(line));
+  writer.join();
+  ::close(fds[0]);
 }
 
 // ---------- request/response over the wire ----------

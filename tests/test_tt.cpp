@@ -385,5 +385,86 @@ TEST(Isop, XorNeedsFourCubes) {
   EXPECT_EQ(isop(x3).size(), 4u);
 }
 
+TEST(Isop, CoverLiesInsideTheInterval) {
+  // onset ⊆ cover(isop(onset, dc)) ⊆ onset | dc over random widths 0-12,
+  // with don't-cares of density 1/4 and of density 1/2.
+  util::Rng rng(404);
+  for (int round = 0; round < 300; ++round) {
+    const auto nv = static_cast<unsigned>(rng.below(13));
+    TruthTable dc = random_table(nv, rng);
+    if (rng.chance(0.5)) {
+      dc &= random_table(nv, rng);
+    }
+    const TruthTable onset = random_table(nv, rng) & ~dc;
+    const TruthTable cover = cover_to_table(isop(onset, dc), nv);
+    EXPECT_EQ(cover & onset, onset) << "nv=" << nv << " round=" << round;
+    EXPECT_EQ(cover & ~(onset | dc), TruthTable(nv))
+        << "nv=" << nv << " round=" << round;
+  }
+}
+
+/// 64-bit FNV-1a over a cube list (count, then mask and polarity of each
+/// cube in order): pins the exact cover, not just the function it covers.
+std::uint64_t fnv1a_cover(std::uint64_t h, const std::vector<Cube>& cubes) {
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((v >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  mix(cubes.size());
+  for (const auto& c : cubes) {
+    mix(c.mask);
+    mix(c.polarity);
+  }
+  return h;
+}
+
+TEST(Isop, KnownAnswer) {
+  // Pins isop()'s exact cube lists (variable choice and cube order) for
+  // isop(f) and isop(~f): every function of 0-4 variables, seeded random
+  // 5-12-variable tables without and with don't-cares, and one
+  // 16-variable table. Any reimplementation must leave these unchanged.
+  constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+  std::uint64_t exhaustive = kFnvBasis;
+  for (unsigned nv = 0; nv <= 4; ++nv) {
+    const std::uint64_t count = std::uint64_t{1} << (std::uint64_t{1} << nv);
+    for (std::uint64_t bits = 0; bits < count; ++bits) {
+      TruthTable f(nv);
+      f.set_word(0, bits);
+      exhaustive = fnv1a_cover(exhaustive, isop(f));
+      exhaustive = fnv1a_cover(exhaustive, isop(~f));
+    }
+  }
+  util::Rng rng(2025);
+  std::uint64_t random_exact = kFnvBasis;
+  std::uint64_t random_dc = kFnvBasis;
+  for (unsigned nv = 5; nv <= 12; ++nv) {
+    const int rounds = nv <= 8 ? 40 : 6;
+    for (int round = 0; round < rounds; ++round) {
+      const TruthTable f = random_table(nv, rng);
+      random_exact = fnv1a_cover(random_exact, isop(f));
+      random_exact = fnv1a_cover(random_exact, isop(~f));
+      const TruthTable dc = random_table(nv, rng) & random_table(nv, rng);
+      random_dc = fnv1a_cover(random_dc, isop(f & ~dc, dc));
+      random_dc = fnv1a_cover(random_dc, isop(~f & ~dc, dc));
+    }
+  }
+  // A 16-variable function with structure above the word level: a sparse
+  // random onset merged with two wide cubes.
+  TruthTable f16 = random_table(16, rng) & random_table(16, rng) &
+                   random_table(16, rng) & random_table(16, rng);
+  f16 |= TruthTable::projection(16, 15) & TruthTable::projection(16, 9) &
+         ~TruthTable::projection(16, 2);
+  f16 |= ~TruthTable::projection(16, 14) & TruthTable::projection(16, 7) &
+         TruthTable::projection(16, 12) & TruthTable::projection(16, 0);
+  std::uint64_t wide = fnv1a_cover(kFnvBasis, isop(f16));
+  wide = fnv1a_cover(wide, isop(~f16));
+
+  EXPECT_EQ(exhaustive, 0x6e350c7be88ff585ULL) << std::hex << "0x" << exhaustive;
+  EXPECT_EQ(random_exact, 0xfd1f5fd96b77c3ecULL) << std::hex << "0x" << random_exact;
+  EXPECT_EQ(random_dc, 0xa3bdca0c48c2b2e4ULL) << std::hex << "0x" << random_dc;
+  EXPECT_EQ(wide, 0x2df1351363e0b7deULL) << std::hex << "0x" << wide;
+}
+
 } // namespace
 } // namespace rcgp::tt
